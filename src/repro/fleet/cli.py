@@ -18,7 +18,8 @@ same one ``archline serve`` uses -- so ``--cache DIR`` (or
 bit-identically from the content-addressed store; the store's
 hit/miss/put counters land in the JSON report.
 
-Exit codes: 0 solved, 1 infeasible (or search gave up), 2 usage error.
+Exit codes: 0 solved, 1 infeasible (or the solver gave up), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ..cli import positive_float, positive_int
+from ..cli import positive_float
 from ..experiments.common import CampaignSettings, fitted_platform_config
 from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
@@ -39,7 +40,7 @@ from ..telemetry.recorder import NULL_RECORDER, SpanRecord, TraceRecorder
 from .evaluate import evaluate_fleet
 from .offers import default_offer, parse_cost_overrides
 from .report import fleet_report, render_fleet
-from .solver import FleetInstance, solve, solve_exact
+from .solver import FleetInstance, solve
 from .workload import WorkloadSpec
 
 __all__ = ["build_fleet_parser", "run_fleet"]
@@ -117,20 +118,6 @@ def build_fleet_parser(
         help="machine parameters: Table I ground truth, or theta-hat "
         "fitted from each platform's microbenchmark campaign "
         "(default truth)",
-    )
-    parser.add_argument(
-        "--exact",
-        action="store_true",
-        help="force the exhaustive oracle solver (small instances only; "
-        "default: LP relaxation + greedy + capped polish)",
-    )
-    parser.add_argument(
-        "--states",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="search-state cap for the exact/polish phase "
-        "(defaults: 2,000,000 exact, 200,000 polish)",
     )
     parser.add_argument(
         "--json",
@@ -307,18 +294,7 @@ def run_fleet(args: argparse.Namespace) -> int:
         ),
         objective=args.objective,
     )
-    if args.exact:
-        solution = solve_exact(
-            instance,
-            state_limit=args.states or 2_000_000,
-            recorder=recorder,
-        )
-    else:
-        solution = solve(
-            instance,
-            polish_states=args.states or 200_000,
-            recorder=recorder,
-        )
+    solution = solve(instance, recorder=recorder)
 
     print(render_fleet(instance, solution, matrix, theta=args.theta))
     report = fleet_report(

@@ -153,8 +153,7 @@ def render_fleet(
             )
         else:
             lines.append(
-                f"Search truncated after {solution.states_explored:,} "
-                f"states without a feasible mix; raise --states."
+                "The solver stopped without a verified optimal mix."
             )
         if matrix.exclusions:
             lines.append("")
@@ -200,10 +199,7 @@ def render_fleet(
             f"(integrality gap <= {fmt_pct(gap)})"
         )
     if solution.status == "feasible":
-        lines.append(
-            f"note: search truncated at {solution.states_explored:,} "
-            f"states; mix is feasible but optimality is unproven"
-        )
+        lines.append("note: mix is feasible but optimality is unproven")
     if matrix.exclusions:
         lines.append(
             f"{len(matrix.exclusions)} infeasible (bin, platform) "

@@ -1,4 +1,5 @@
-"""Fleet mix solvers: exact enumeration and LP-relaxation + greedy.
+"""Fleet mix solvers: HiGHS mixed-integer programming and an exact
+enumeration oracle.
 
 The procurement problem is the integer program
 
@@ -22,25 +23,24 @@ and it is what keeps the program linear.
 
 Two solvers, intentionally independent implementations:
 
+:func:`solve`
+    The production path: one :func:`scipy.optimize.milp` (HiGHS
+    branch and bound) solve with a zero relative gap, so a returned
+    mix is proven optimal.  HiGHS's feasibility and integrality
+    tolerances are looser than this module's ``_REL_TOL`` rule, so
+    the rounded vector is re-checked against every constraint before
+    it is reported.  :func:`solve_lp` solves the same rows without
+    integrality for the reported LP lower bound.
 :func:`solve_exact`
     Depth-first enumeration of per-bin *irreducible covers* (no node
     can be removed without breaking coverage -- some optimal solution
     always is one, since weights and draws are non-negative), with
     budget and objective-bound pruning.  No LP involved; this is the
     test oracle.
-:func:`solve`
-    The scalable path: LP relaxation (:mod:`repro.fleet.simplex`),
-    floor-rounding, greedy deficit fill, surplus trim, then a
-    state-capped run of the exact search seeded with the greedy
-    incumbent.  On small instances the capped search completes and the
-    answer is provably optimal (the differential tests assert it
-    matches the oracle); on large ones it returns the best incumbent
-    plus the LP lower bound, so the optimality gap is always
-    reported.
 
-Everything is deterministic: platforms and bins are walked in the
-instance's stored (sorted) order, ties keep the first solution found,
-and the LP pivots by Bland's rule.
+Both are deterministic: HiGHS returns the same mix for the same rows,
+which are built in the instance's stored (sorted) order, and the DFS
+walks that order and keeps the first of equal-objective solutions.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .evaluate import EvaluationMatrix
 from .offers import PlatformOffer
-from .simplex import solve_lp
 from .workload import WorkloadSpec
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "allocations",
     "solve",
     "solve_exact",
+    "solve_lp",
 ]
 
 _REL_TOL = 1e-9
@@ -200,7 +202,7 @@ class FleetSolution:
     """A solved (or diagnosed) procurement problem."""
 
     status: str  #: "optimal" | "feasible" | "infeasible" | "unknown"
-    method: str  #: "exact" | "lp_greedy"
+    method: str  #: "exact" | "milp"
     objective: str
     nodes: tuple[int, ...]  #: per instance pair.
     objective_value: float
@@ -291,12 +293,7 @@ def _ceil_div(demand: float, rate: float) -> int:
 class _ExactSearch:
     """DFS over per-bin irreducible covers with budget/bound pruning."""
 
-    def __init__(
-        self,
-        instance: FleetInstance,
-        state_limit: int,
-        incumbent: tuple[int, ...] | None,
-    ) -> None:
+    def __init__(self, instance: FleetInstance, state_limit: int) -> None:
         self.inst = instance
         self.weights = instance.pair_weights()
         self.groups = instance.bin_pairs()
@@ -305,11 +302,6 @@ class _ExactSearch:
         self.truncated = False
         self.best_nodes: tuple[int, ...] | None = None
         self.best_obj = math.inf
-        if incumbent is not None:
-            self.best_nodes = tuple(incumbent)
-            self.best_obj = sum(
-                w * x for w, x in zip(self.weights, incumbent)
-            )
         # Fractional per-bin lower bounds and their suffix sums: bin j
         # costs at least d_j * min_k (w_k / a_k) in any solution.
         n_bins = len(instance.bin_labels)
@@ -411,184 +403,145 @@ def solve_exact(
     instance: FleetInstance,
     *,
     state_limit: int = 2_000_000,
-    incumbent: tuple[int, ...] | None = None,
     recorder: TraceRecorder = NULL_RECORDER,
-    _method: str = "exact",
 ) -> FleetSolution:
     """Provably optimal mix by exhaustive irreducible-cover search.
 
     With the default ``state_limit`` this is the oracle for small
     instances; if the limit is hit the result degrades to the best
-    incumbent (status ``"feasible"``/``"unknown"``) -- the scalable
-    path uses exactly that mode as its polish step.
+    mix found so far (status ``"feasible"``, or ``"unknown"`` when
+    there is none).
     """
     with recorder.span(
         "fleet_solve",
-        method=_method,
+        method="exact",
         bins=len(instance.bin_labels),
         platforms=len(instance.platform_ids),
         pairs=len(instance.pair_bin),
     ):
-        search = _ExactSearch(instance, state_limit, incumbent)
+        search = _ExactSearch(instance, state_limit)
         search.run()
     zeros = tuple(0 for _ in instance.pair_bin)
     if search.best_nodes is None:
         status = "unknown" if search.truncated else "infeasible"
         return _solution(
-            instance, status, _method, zeros, states=search.states
+            instance, status, "exact", zeros, states=search.states
         )
     status = "feasible" if search.truncated else "optimal"
     return _solution(
         instance,
         status,
-        _method,
+        "exact",
         search.best_nodes,
         states=search.states,
     )
 
 
-def _relaxation(instance: FleetInstance):
-    """The LP relaxation (drops integrality, keeps every constraint)."""
+
+
+def _program(instance: FleetInstance):
+    """The objective and constraint rows of the integer program, in
+    the shape :func:`scipy.optimize.milp` takes."""
+    from scipy.optimize import LinearConstraint
+
     n = len(instance.pair_bin)
-    weights = instance.pair_weights()
-    a_ge, b_ge, a_ub, b_ub = [], [], [], []
-    for j, group in enumerate(instance.bin_pairs()):
-        row = [0.0] * n
-        for k in group:
-            row[k] = instance.pair_rate[k]
-        a_ge.append(row)
-        b_ge.append(instance.demands[j])
-    if math.isfinite(instance.power_budget):
-        a_ub.append(list(instance.pair_power))
-        b_ub.append(instance.power_budget)
-    if math.isfinite(instance.cost_budget):
-        a_ub.append(list(instance.pair_costs()))
-        b_ub.append(instance.cost_budget)
-    for i, cap in enumerate(instance.max_nodes):
-        if math.isfinite(cap):
-            row = [0.0] * n
-            for k, plat in enumerate(instance.pair_platform):
-                if plat == i:
-                    row[k] = 1.0
-            a_ub.append(row)
-            b_ub.append(cap)
-    return solve_lp(weights, a_ub=a_ub, b_ub=b_ub, a_ge=a_ge, b_ge=b_ge)
+    pairs = np.arange(n)
+    demand = np.zeros((len(instance.bin_labels), n))
+    demand[instance.pair_bin, pairs] = instance.pair_rate
+    supply = np.zeros((len(instance.platform_ids), n))
+    supply[instance.pair_platform, pairs] = 1.0
+    rows = np.vstack(
+        [demand, instance.pair_power, instance.pair_costs(), supply]
+    )
+    lower = np.concatenate(
+        [instance.demands, np.full(2 + len(supply), -np.inf)]
+    )
+    upper = np.concatenate(
+        [
+            np.full(len(demand), np.inf),
+            [instance.power_budget, instance.cost_budget],
+            instance.max_nodes,
+        ]
+    )
+    weights = np.array(instance.pair_weights())
+    return weights, LinearConstraint(rows, lower, upper)
 
 
-def _greedy_complete(
-    instance: FleetInstance, x: list[int]
-) -> list[int] | None:
-    """Fill coverage deficits greedily within the budgets; None if the
-    budgets leave no way to add a needed node."""
-    weights = instance.pair_weights()
-    costs = instance.pair_costs()
-    _, power, cost, _ = _totals(instance, x)
-    supply = [0] * len(instance.platform_ids)
-    for k, count in enumerate(x):
-        supply[instance.pair_platform[k]] += count
-    for j, group in enumerate(instance.bin_pairs()):
-        demand = instance.demands[j]
-        tol = _REL_TOL * max(1.0, demand)
-        covered = sum(instance.pair_rate[k] * x[k] for k in group)
-        while covered < demand - tol:
-            # Cheapest feasible jobs-per-weight pair, first index on ties.
-            pick, pick_score = -1, math.inf
-            for k in group:
-                i = instance.pair_platform[k]
-                if supply[i] + 1 > instance.max_nodes[i]:
-                    continue
-                if power + instance.pair_power[k] > instance.power_budget * (
-                    1 + _REL_TOL
-                ):
-                    continue
-                if cost + costs[k] > instance.cost_budget * (1 + _REL_TOL):
-                    continue
-                score = weights[k] / instance.pair_rate[k]
-                if score < pick_score - 1e-15:
-                    pick, pick_score = k, score
-            if pick < 0:
-                return None
-            x[pick] += 1
-            supply[instance.pair_platform[pick]] += 1
-            power += instance.pair_power[pick]
-            cost += costs[pick]
-            covered += instance.pair_rate[pick]
-    return x
+def solve_lp(instance: FleetInstance) -> float:
+    """The LP relaxation's optimum: a lower bound on every integer mix
+    (``inf`` when even the relaxation is infeasible, ``nan`` when
+    HiGHS gives no answer)."""
+    from scipy.optimize import milp
+
+    weights, constraints = _program(instance)
+    result = milp(weights, constraints=constraints, integrality=0)
+    if result.status == 2:
+        return math.inf
+    return float(result.fun) if result.status == 0 else math.nan
 
 
-def _trim(instance: FleetInstance, x: list[int]) -> list[int]:
-    """Remove nodes whose coverage surplus allows it (heaviest first)."""
-    weights = instance.pair_weights()
-    for j, group in enumerate(instance.bin_pairs()):
-        demand = instance.demands[j]
-        tol = _REL_TOL * max(1.0, demand)
-        covered = sum(instance.pair_rate[k] * x[k] for k in group)
-        # Heaviest-per-node first so trimming favours the objective;
-        # index tie-break keeps it deterministic.
-        for k in sorted(group, key=lambda k: (-weights[k], k)):
-            while x[k] > 0 and covered - instance.pair_rate[k] >= demand - tol:
-                x[k] -= 1
-                covered -= instance.pair_rate[k]
-    return x
+def _verified(constraints, x: np.ndarray) -> tuple[int, ...] | None:
+    """``x`` rounded to integers, or None when the rounded mix breaks
+    a row under the ``_REL_TOL`` rule :class:`_ExactSearch` uses
+    (HiGHS accepts 1e-7 absolute infeasibility and 1e-6 integrality
+    slack, both looser)."""
+    nodes = np.round(x)
+    lhs = constraints.A @ nodes
+    lower = constraints.lb - _REL_TOL * np.maximum(1.0, constraints.lb)
+    upper = constraints.ub * (1 + _REL_TOL)
+    if nodes.min() < 0 or np.any(lhs < lower) or np.any(lhs > upper):
+        return None
+    return tuple(int(v) for v in nodes)
 
 
 def solve(
     instance: FleetInstance,
     *,
-    polish_states: int = 200_000,
     recorder: TraceRecorder = NULL_RECORDER,
 ) -> FleetSolution:
-    """The scalable path: LP relax, round, greedy-fill, trim, polish.
+    """Proven-optimal mix from one HiGHS branch-and-bound solve.
 
-    Always returns the LP lower bound alongside the integer solution,
-    so callers see the worst-case optimality gap.  The polish step is
-    the exact search capped at ``polish_states``; when it finishes
-    inside the cap the result is provably optimal and the status says
-    so.
+    Returns the LP lower bound alongside the mix.  Status is
+    ``"optimal"``, ``"infeasible"``, or ``"unknown"`` when HiGHS stops
+    without a proof or its mix fails the re-check; an ``"unknown"``
+    result never carries a mix.
     """
+    from scipy.optimize import milp
+
     with recorder.span(
         "fleet_solve",
-        method="lp_greedy",
+        method="milp",
         bins=len(instance.bin_labels),
         platforms=len(instance.platform_ids),
         pairs=len(instance.pair_bin),
     ):
         zeros = tuple(0 for _ in instance.pair_bin)
         if any(not g for g in instance.bin_pairs()):
-            return _solution(instance, "infeasible", "lp_greedy", zeros)
-        lp = _relaxation(instance)
-        if lp.status == "infeasible":
+            return _solution(instance, "infeasible", "milp", zeros)
+        lp_bound = solve_lp(instance)
+        if lp_bound == math.inf:
             # The relaxation is a superset of the integer feasible set.
             return _solution(
-                instance, "infeasible", "lp_greedy", zeros, lp_bound=math.inf
+                instance, "infeasible", "milp", zeros, lp_bound=lp_bound
             )
-        lp_bound = lp.objective if lp.status == "optimal" else math.nan
-        incumbent: tuple[int, ...] | None = None
-        if lp.status == "optimal":
-            rounded = _greedy_complete(
-                instance, [int(math.floor(v + _REL_TOL)) for v in lp.x]
-            )
-            if rounded is not None:
-                incumbent = tuple(_trim(instance, rounded))
-        # The outer span already covers the polish; NULL_RECORDER avoids
-        # a redundant nested fleet_solve span.
-        polished = solve_exact(
-            instance,
-            state_limit=polish_states,
-            incumbent=incumbent,
-            recorder=NULL_RECORDER,
-            _method="lp_greedy",
+        weights, constraints = _program(instance)
+        result = milp(
+            weights,
+            constraints=constraints,
+            integrality=1,
+            options={"mip_rel_gap": 0.0},
         )
-    return FleetSolution(
-        status=polished.status,
-        method="lp_greedy",
-        objective=polished.objective,
-        nodes=polished.nodes,
-        objective_value=polished.objective_value,
-        energy=polished.energy,
-        power=polished.power,
-        cost=polished.cost,
-        total_nodes=polished.total_nodes,
-        lp_bound=lp_bound,
-        states_explored=polished.states_explored,
-    )
+        status, nodes = "unknown", None
+        if result.status == 2:
+            status = "infeasible"
+        elif result.status == 0:
+            nodes = _verified(constraints, result.x)
+            status = "unknown" if nodes is None else "optimal"
+        return _solution(
+            instance,
+            status,
+            "milp",
+            zeros if nodes is None else nodes,
+            lp_bound=lp_bound,
+            states=int(result.get("mip_node_count") or 0),
+        )

@@ -37,7 +37,7 @@ strict LIFO open/close, which interleaved coroutines would violate.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..machine.kernel import KernelSpec
@@ -55,7 +55,6 @@ class BatchStats:
     engine_batches: int = 0  #: run_batch calls (one per engine group).
     max_width: int = 0  #: widest single assembly.
     scalar_fallbacks: int = 0  #: groups degraded to per-kernel runs.
-    widths: list[int] = field(default_factory=list, repr=False)
 
     @property
     def mean_width(self) -> float:
@@ -217,7 +216,6 @@ class Batcher:
         stats.batches += 1
         stats.batched_requests += len(batch)
         stats.max_width = max(stats.max_width, len(batch))
-        stats.widths.append(len(batch))
         for engine in order:
             items = groups[id(engine)]
             self._run_group(engine, items, width=len(batch))

@@ -30,10 +30,9 @@ whose speed the repo has promised to keep:
 ``fleet_small``
     The fleet/procurement optimizer (docs/FLEET.md) end to end: a
     four-bin workload evaluated over all twelve Table I platforms and
-    solved under binding power and cost budgets via the scalable
-    LP + greedy + polish path.  Gates the solver's wall time and
-    records the state count and an ``optimal`` bit (the polish must
-    keep finishing inside its cap on this instance).
+    solved under binding power and cost budgets by the HiGHS milp
+    path.  Gates the solver's wall time and records the
+    branch-and-bound node count and an ``optimal`` bit.
 
 Each function returns a flat ``{metric: number}`` dict (the report
 schema validates every value is a finite number) and takes ``quick``
@@ -270,7 +269,7 @@ def fleet_small(*, seed: int = 2014, quick: bool = False) -> dict:
     """The procurement optimizer end to end (docs/FLEET.md).
 
     Deterministic (theta is Table I truth), so the wall time is pure
-    evaluate + LP + greedy + polish; measured best-of like the sweeps.
+    evaluate + LP bound + milp; measured best-of like the sweeps.
     """
     del seed  # truth-theta: nothing stochastic to seed
     from ..fleet import FleetInstance, WorkloadBin, WorkloadSpec

@@ -21,6 +21,15 @@ from repro.cli import (
     positive_float,
     positive_int,
 )
+from repro.fleet import (
+    FleetInstance,
+    WorkloadSpec,
+    default_offer,
+    evaluate_fleet,
+    solve,
+    solve_exact,
+)
+from repro.machine.platforms import PLATFORM_IDS, platform
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_fleet.json"
 
@@ -83,6 +92,9 @@ class TestSharedValidators:
             ["campaign", "--shard-timeout", "nan"],
             ["serve", "--max-batch", "0"],
             ["serve", "--max-body-bytes", "-1"],
+            # Solver knobs removed with the heuristic they tuned.
+            ["fleet", "--workload", "w.json", "--exact"],
+            ["fleet", "--workload", "w.json", "--states", "100"],
         ],
     )
     def test_bad_flag_values_exit_2_at_parse(self, argv):
@@ -99,7 +111,6 @@ class TestSharedValidators:
                 "--cost-budget", "50000",
                 "--objective", "cost",
                 "--platforms", "gtx-titan", "nuc-cpu",
-                "--exact",
             ]
         )
         assert args.command == "fleet"
@@ -243,15 +254,22 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_exact_matches_scalable_objective(self, tmp_path):
-        _, scalable = run_fleet_report(tmp_path, "--power-budget", "2000")
-        _, exact = run_fleet_report(
-            tmp_path, "--power-budget", "2000", "--exact"
+    def test_exact_matches_scalable_objective(self):
+        """The oracle and the milp path agree on the golden solve."""
+        workload = WorkloadSpec.from_json(json.dumps(WORKLOAD))
+        matrix = evaluate_fleet(
+            workload, {pid: platform(pid) for pid in PLATFORM_IDS}
         )
-        assert (
-            exact["solution"]["objective_value"]
-            == scalable["solution"]["objective_value"]
+        instance = FleetInstance.from_matrix(
+            matrix,
+            workload,
+            {pid: default_offer(pid) for pid in PLATFORM_IDS},
+            power_budget=2000.0,
+            cost_budget=50000.0,
         )
+        exact = solve_exact(instance)
+        assert exact.status == "optimal"
+        assert solve(instance).objective_value == exact.objective_value
 
 
 class TestTraceExport:

@@ -1,6 +1,6 @@
-"""Fleet solvers: hand instances plus the hypothesis differential
-suite (the scalable path must match the exact oracle on every small
-instance -- an ISSUE acceptance criterion)."""
+"""Fleet solvers: hand instances, the guard on HiGHS's answer, and the
+hypothesis differential suite (the milp path must match the exact
+oracle on status and objective)."""
 
 import math
 
@@ -244,24 +244,6 @@ class TestHandInstances:
         assert sol.status in ("feasible", "unknown")
         assert sol.states_explored >= 10
 
-    def test_incumbent_seeds_truncated_search(self):
-        inst = make_instance(
-            demands=[50],
-            rates=[[1.0, 1.1]],
-            powers=[[1.0, 2.0]],
-            costs=[1.0, 2.0],
-        )
-        # A deliberately wasteful incumbent (one surplus node): the
-        # bound cannot prune it, so the 2-state search truncates and
-        # falls back to the seed.
-        seed = (50, 1)
-        sol = solve_exact(inst, state_limit=2, incumbent=seed)
-        assert sol.status == "feasible"
-        assert sol.nodes == seed
-        assert sol.objective_value == pytest.approx(
-            50 * 1.0 * 100.0 + 1 * 2.0 * 100.0
-        )
-
     def test_solve_span_recorded_once(self):
         recorder = TraceRecorder()
         inst = make_instance(
@@ -270,7 +252,7 @@ class TestHandInstances:
         solve(inst, recorder=recorder)
         spans = [s for s in recorder.records() if s.name == "fleet_solve"]
         assert len(spans) == 1
-        assert spans[0].meta_dict()["method"] == "lp_greedy"
+        assert spans[0].meta_dict()["method"] == "milp"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="objective"):
@@ -289,11 +271,69 @@ class TestHandInstances:
             )
 
 
+class TestHighsGuard:
+    """HiGHS's tolerances (1e-7 feasibility, 1e-6 integrality) are
+    looser than ``_REL_TOL``; whatever it returns is re-checked and a
+    mix that fails is never reported."""
+
+    INSTANCE = dict(
+        demands=[10],
+        rates=[[2.0, 5.0]],
+        powers=[[6.0, 20.0]],
+        costs=[60.0, 90.0],
+        objective="cost",
+        power_budget=35.0,
+    )
+
+    def _patched(self, monkeypatch, **fields):
+        import scipy.optimize
+
+        real = scipy.optimize.milp
+
+        def fake(c, **kwargs):
+            result = real(c, **kwargs)
+            if kwargs.get("integrality") == 1:
+                result.update(fields)
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "milp", fake)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # (0, 2) covers the demand but draws 40 W against 35 W.
+            {"x": [0.0, 2.0000004]},
+            # (4, 0) is within budget but covers 8 of 10 jobs.
+            {"x": [4.0, 0.0]},
+            {"status": 1},  # time or node limit: no proof
+            {"status": 3},
+            {"status": 4},
+        ],
+    )
+    def test_unverified_answer_is_unknown(self, monkeypatch, fields):
+        inst = make_instance(**self.INSTANCE)
+        assert solve(inst).nodes == (5, 0)
+        self._patched(monkeypatch, **fields)
+        sol = solve(inst)
+        assert sol.status == "unknown"
+        assert not sol.solved
+        assert sol.nodes == (0, 0)
+        assert sol.objective_value == math.inf
+
+    def test_near_integer_vector_is_rounded(self, monkeypatch):
+        inst = make_instance(**self.INSTANCE)
+        self._patched(monkeypatch, x=[4.9999996, 3e-7])
+        sol = solve(inst)
+        assert sol.status == "optimal"
+        assert sol.nodes == (5, 0)
+        assert all(type(x) is int for x in sol.nodes)
+
+
 @st.composite
 def fleet_instances(draw):
     """Random instances small enough for the oracle to finish."""
     n_bins = draw(st.integers(min_value=1, max_value=3))
-    n_plat = draw(st.integers(min_value=1, max_value=6))
+    n_plat = draw(st.integers(min_value=1, max_value=12))
     demand = st.integers(min_value=1, max_value=12)
     rate = st.floats(min_value=0.5, max_value=6.0)
     power = st.floats(min_value=0.5, max_value=10.0)
@@ -335,14 +375,13 @@ def fleet_instances(draw):
 @given(fleet_instances())
 @settings(max_examples=80)
 def test_differential_scalable_vs_oracle(instance):
-    """ISSUE acceptance: on every instance small enough for the exact
-    oracle, the greedy/LP path is feasible and matches the optimum."""
+    """The milp path agrees with the exact oracle on status and
+    objective.  Mixes may differ: equal-objective ties exist."""
     oracle = solve_exact(instance, state_limit=5_000_000)
     assert oracle.status in ("optimal", "infeasible"), "oracle truncated"
     scalable = solve(instance)
-    assert scalable.solved == oracle.solved
+    assert scalable.status == oracle.status
     if oracle.status == "infeasible":
-        assert scalable.status == "infeasible"
         return
     assert_feasible(instance, oracle)
     assert_feasible(instance, scalable)

@@ -221,6 +221,26 @@ def test_stats_track_widths():
     assert stats.scalar_fallbacks == 0
 
 
+def test_stats_hold_only_scalar_counters():
+    """A long-lived server's stats must not grow with traffic: after
+    many dispatches every field is still a plain number."""
+    engine = _FakeEngine("a")
+
+    async def main():
+        batcher = Batcher(max_batch=1, linger_us=0)
+        await batcher.start()
+        try:
+            for i in range(200):
+                await batcher.submit(engine, _kernel(f"k{i}"))
+        finally:
+            await batcher.stop()
+        return batcher.stats
+
+    stats = asyncio.run(main())
+    assert stats.batches == 200
+    assert all(type(v) is int for v in vars(stats).values()), vars(stats)
+
+
 def test_batch_assemble_spans_record_width():
     engine = _FakeEngine("a")
     recorder = TraceRecorder()
