@@ -4,20 +4,22 @@ Exit codes follow the usual linter contract:
 
 * ``0`` -- clean (no findings after suppressions and baseline),
 * ``1`` -- findings reported,
-* ``2`` -- usage error (unknown path, rule code, format, flag
-  combination, a malformed baseline file, or ``--changed`` outside a
-  git checkout).
+* ``2`` -- usage error (unknown path, rule code or format, a
+  ``--jobs`` below 1, a malformed baseline file, or ``--changed``
+  outside a git checkout).
 
-Modes
------
-The default mode lints file-by-file (rules ARCH001-ARCH007).
-``--project`` additionally builds the whole-program module graph and
-runs the cross-module rules (ARCH008-ARCH011); ``--jobs N`` fans the
-per-file phase over a process pool and ``--cache DIR`` makes warm
-re-runs incremental (see :mod:`repro.lint.project`).  ``--changed``
-narrows a per-file run to files the git worktree touches.
-``--include-tests`` adds a relaxed per-file pass over ``tests/`` and
-``benchmarks/``.
+One engine
+----------
+Every run lints the given paths with all eleven rules through
+:func:`repro.lint.project.lint_project`: the per-file rules
+(ARCH001-ARCH007) and the whole-program rules over the module graph
+(ARCH008-ARCH011).  ``--jobs N`` fans the per-file phase over a process
+pool and ``--cache DIR`` makes warm re-runs incremental.  ``--changed``
+filters the findings to files the git worktree touches.
+``--include-tests`` adds a relaxed pass over ``tests/``,
+``benchmarks/``, ``examples/`` and ``perfbench/``.  ``--project`` is
+still accepted and does nothing: whole-program analysis is the only
+mode.
 """
 
 from __future__ import annotations
@@ -34,19 +36,18 @@ from .baseline import (
     load_baseline,
     write_baseline,
 )
-from .engine import lint_paths
 from .output import FORMATS, render
 from .rules import all_rules, load_builtin_rules
 
-#: The relaxed subset ``--include-tests`` runs over tests/ and
-#: benchmarks/: hygiene rules that catch real bugs in test code
+#: The relaxed subset ``--include-tests`` runs over the test and
+#: benchmark directories: hygiene rules that catch real bugs in test code
 #: (swallowed faults, mixed units).  Convention rules (telemetry
 #: wiring) and the project rules stay src-only -- test doubles and
 #: fixtures break them by design, not by accident.
 RELAXED_TEST_CODES = ("ARCH003", "ARCH005")
 
 #: Directories the relaxed pass covers when they exist.
-TEST_DIRS = ("tests", "benchmarks")
+TEST_DIRS = ("tests", "benchmarks", "examples", "perfbench")
 
 
 def build_lint_parser(
@@ -56,8 +57,8 @@ def build_lint_parser(
     kwargs = dict(
         description="AST-based static analysis of the repo's determinism, "
         "picklability and unit-discipline invariants (per-file rules "
-        "ARCH001-007; whole-program rules ARCH008-011 under --project; "
-        "see docs/LINT.md)",
+        "ARCH001-007 and whole-program rules ARCH008-011; see "
+        "docs/LINT.md)",
     )
     if parent is None:
         parser = argparse.ArgumentParser(prog="archline lint", **kwargs)
@@ -104,35 +105,35 @@ def build_lint_parser(
     parser.add_argument(
         "--project",
         action="store_true",
-        help="whole-program mode: build the module graph and run the "
-        "cross-module rules ARCH008-ARCH011 as well",
+        help="accepted for compatibility and ignored: every run is "
+        "whole-program",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="process-pool width for the per-file phase of --project "
+        help="process-pool width for the per-file phase "
         "(default: 1, in-process)",
     )
     parser.add_argument(
         "--cache",
         default=None,
         metavar="DIR",
-        help="content-addressed summary cache directory for --project; "
-        "warm runs replay unchanged files without parsing",
+        help="content-addressed summary cache directory; warm runs "
+        "replay unchanged files without parsing",
     )
     parser.add_argument(
         "--include-tests",
         action="store_true",
-        help="also lint tests/ and benchmarks/ with the relaxed rule "
+        help=f"also lint {', '.join(TEST_DIRS)} with the relaxed rule "
         f"subset ({', '.join(RELAXED_TEST_CODES)})",
     )
     parser.add_argument(
         "--changed",
         action="store_true",
-        help="per-file mode only: lint just the .py files the git "
-        "worktree changes relative to HEAD (plus untracked files)",
+        help="report only findings in .py files the git worktree "
+        "changes relative to HEAD (plus untracked files)",
     )
     return parser
 
@@ -144,33 +145,36 @@ def _resolve_baseline_path(arg: str | None) -> Path | None:
     return default if default.is_file() else None
 
 
-def _changed_files(paths: Sequence[str]) -> list[str] | None:
-    """Worktree-changed ``.py`` files under ``paths``; ``None`` when
-    git is unavailable (not a repo, no git binary)."""
-    commands = (
-        ["git", "diff", "--name-only", "HEAD", "--", "*.py"],
-        ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
+def _git_lines(*args: str) -> list[str]:
+    proc = subprocess.run(
+        ["git", *args], capture_output=True, text=True, check=True
     )
-    names: set[str] = set()
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        names.update(line for line in proc.stdout.splitlines() if line)
+    return [line for line in proc.stdout.splitlines() if line]
+
+
+def _changed_files(paths: Sequence[str]) -> set[Path] | None:
+    """Resolved worktree-changed ``.py`` files under ``paths``; ``None``
+    when git is unavailable (not a repo, no git binary).
+
+    Both listings run from the worktree's top level, so their names
+    are relative to it wherever the command itself runs from.
+    """
+    try:
+        (top,) = _git_lines("rev-parse", "--show-toplevel")
+        tracked = _git_lines("-C", top, "diff", "--name-only", "HEAD", "--", "*.py")
+        untracked = _git_lines(
+            "-C", top, "ls-files", "--others", "--exclude-standard", "--", "*.py"
+        )
+    except (OSError, ValueError, subprocess.CalledProcessError):
+        return None
     roots = [Path(p).resolve() for p in paths]
-    out: list[str] = []
-    for name in sorted(names):
-        path = Path(name)
+    out: set[Path] = set()
+    for name in tracked + untracked:
+        path = (Path(top) / name).resolve()
         if not path.is_file():  # deleted files still appear in the diff.
             continue
-        resolved = path.resolve()
-        if any(
-            resolved == root or root in resolved.parents for root in roots
-        ):
-            out.append(name)
+        if any(path == root or root in path.parents for root in roots):
+            out.add(path)
     return out
 
 
@@ -184,19 +188,6 @@ def run_lint(args: argparse.Namespace) -> int:
             )
             print(f"{code} {rule_cls.name}: {rule_cls.description} [{scope}]")
         return 0
-    if args.changed and args.project:
-        print(
-            "archline lint: --changed is a per-file flag; --project is "
-            "already incremental via --cache",
-            file=sys.stderr,
-        )
-        return 2
-    if (args.jobs != 1 or args.cache is not None) and not args.project:
-        print(
-            "archline lint: --jobs/--cache require --project",
-            file=sys.stderr,
-        )
-        return 2
     if args.jobs < 1:
         print("archline lint: --jobs must be >= 1", file=sys.stderr)
         return 2
@@ -205,9 +196,9 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.select:
         codes = [code.strip() for code in args.select.split(",") if code.strip()]
 
-    lint_targets = list(args.paths)
+    changed = None
     if args.changed:
-        changed = _changed_files(lint_targets)
+        changed = _changed_files(args.paths)
         if changed is None:
             print(
                 "archline lint: --changed needs a git checkout",
@@ -216,33 +207,24 @@ def run_lint(args: argparse.Namespace) -> int:
             return 2
         if not changed:
             print("archline lint: no changed files", file=sys.stderr)
-            print(render([], args.format))
-            return 0
-        lint_targets = changed
+
+    from .project import lint_project
 
     try:
-        if args.project:
-            from .project import lint_project
-
-            findings, stats = lint_project(
-                lint_targets,
-                codes,
-                jobs=args.jobs,
-                cache_dir=args.cache,
-            )
-            print(stats.render(), file=sys.stderr)
-        else:
-            findings = lint_paths(lint_targets, codes)
+        findings, stats = lint_project(
+            args.paths, codes, jobs=args.jobs, cache_dir=args.cache
+        )
+        print(stats.render(), file=sys.stderr)
         if args.include_tests:
             extra_dirs = [d for d in TEST_DIRS if Path(d).is_dir()]
-            if extra_dirs:
-                relaxed = list(RELAXED_TEST_CODES)
-                if codes is not None:
-                    relaxed = [c for c in relaxed if c in codes]
-                if relaxed:
-                    findings = sorted(
-                        list(findings) + lint_paths(extra_dirs, relaxed)
-                    )
+            relaxed = [
+                code
+                for code in RELAXED_TEST_CODES
+                if codes is None or code in codes
+            ]
+            if extra_dirs and relaxed:
+                extra, _ = lint_project(extra_dirs, relaxed)
+                findings = sorted(findings + extra)
     except FileNotFoundError as err:
         print(f"archline lint: no such path: {err.args[0]}", file=sys.stderr)
         return 2
@@ -254,6 +236,8 @@ def run_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if changed is not None:
+        findings = [f for f in findings if Path(f.path).resolve() in changed]
 
     baseline_path = _resolve_baseline_path(args.baseline)
     if args.update_baseline:

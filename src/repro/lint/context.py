@@ -25,6 +25,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Mapping
 
 _SUPPRESS_RE = re.compile(
     r"#\s*archlint:\s*disable(?P<scope>-file)?\s*=\s*"
@@ -51,89 +52,171 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
+def dotted_name(node: ast.expr) -> str | None:
+    """The ``a.b.c`` chain of a Name/Attribute node, or ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def absolutize(dotted: str, *tables: Mapping[str, str]) -> str | None:
+    """Rewrite a dotted chain's root through the first table binding
+    it (``None`` when none does)."""
+    root, _, rest = dotted.partition(".")
+    for table in tables:
+        base = table.get(root)
+        if base is not None:
+            return f"{base}.{rest}" if rest else base
+    return None
+
+
+def resolve_imported(
+    node: ast.expr, imports: Mapping[str, str]
+) -> str | None:
+    """Fully qualified dotted name of a chain rooted in an import.
+
+    The chain's root is looked up in the import table, so with
+    ``import numpy as np`` the node ``np.random.rand`` resolves to
+    ``numpy.random.rand``.  A chain rooted anywhere else resolves to
+    ``None``: a local or parameter that happens to be called
+    ``random`` is not the stdlib module.
+    """
+    dotted = dotted_name(node)
+    return None if dotted is None else absolutize(dotted, imports)
+
+
+def absolute_imports(
+    tree: ast.Module, module: str, is_package: bool
+) -> dict[str, str]:
+    """Local name -> fully absolutized dotted target.
+
+    Relative imports resolve against the module's package (``from
+    ..machine import x`` in ``repro.microbench.campaign`` ->
+    ``repro.machine.x``) and ``from . import x`` binds ``x`` too.
+    ``import numpy.random`` binds ``numpy``; only an asname binds the
+    full dotted path.
+    """
+    package = module if is_package else module.rpartition(".")[0]
+    out: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                out[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".") if package else []
+                keep = parts[: max(len(parts) - (node.level - 1), 0)]
+                base = ".".join(keep)
+                if node.module:
+                    base = f"{base}.{node.module}" if base else node.module
+            else:
+                base = node.module or ""
+            if not base:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                out[local] = f"{base}.{alias.name}"
+    return out
+
+
+@dataclass
+class Suppressions:
+    """One file's inline ``# archlint: disable`` comments.
+
+    Built once per parsed file and carried, JSON-able, in the per-file
+    payload, so cached files suppress exactly like freshly parsed ones.
+    """
+
+    #: codes suppressed for the whole file.
+    file: set[str] = field(default_factory=set)
+    #: line number -> set of suppressed codes (or {"all"}).
+    lines: dict[int, set[str]] = field(default_factory=dict)
+
+    @classmethod
+    def scan(cls, lines: list[str]) -> "Suppressions":
+        out = cls()
+        for lineno, text in enumerate(lines, start=1):
+            match = _SUPPRESS_RE.search(text)
+            if match is None:
+                continue
+            codes = {
+                code.strip() for code in match.group("codes").split(",")
+            }
+            if match.group("scope"):
+                out.file |= codes
+                continue
+            # A comment-only line shields the next line, so the
+            # justification can sit above the code it excuses.
+            comment_only = text.lstrip().startswith("#")
+            target = lineno + 1 if comment_only else lineno
+            out.lines.setdefault(target, set()).update(codes)
+        return out
+
+    def is_suppressed(self, code: str, line: int) -> bool:
+        if code in self.file or ALL_CODES in self.file:
+            return True
+        codes = self.lines.get(line, ())
+        return code in codes or ALL_CODES in codes
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "file": sorted(self.file),
+            "lines": {
+                str(line): sorted(codes)
+                for line, codes in sorted(self.lines.items())
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "Suppressions":
+        return cls(
+            file=set(data["file"]),
+            lines={
+                int(line): set(codes)
+                for line, codes in data["lines"].items()
+            },
+        )
+
+
 @dataclass
 class ModuleContext:
     """Everything the rules know about one file under analysis."""
 
     path: str
     module: str  #: dotted module name, e.g. ``"repro.machine.engine"``.
-    source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
-    #: local name -> fully qualified name, from import statements.
+    #: local name -> fully qualified name (see :func:`absolute_imports`).
     imports: dict[str, str] = field(default_factory=dict)
-    #: line number -> set of suppressed codes (or {"all"}).
-    line_suppressions: dict[int, set[str]] = field(default_factory=dict)
-    #: codes suppressed for the whole file.
-    file_suppressions: set[str] = field(default_factory=set)
+    suppressions: Suppressions = field(default_factory=Suppressions)
 
     @classmethod
     def from_source(
         cls, source: str, *, path: str = "<string>", module: str = ""
     ) -> "ModuleContext":
         tree = ast.parse(source, filename=path)
-        ctx = cls(
+        module = module or Path(path).stem
+        lines = source.splitlines()
+        return cls(
             path=path,
-            module=module or Path(path).stem,
-            source=source,
+            module=module,
             tree=tree,
-            lines=source.splitlines(),
+            lines=lines,
+            imports=absolute_imports(
+                tree, module, path.endswith("__init__.py")
+            ),
+            suppressions=Suppressions.scan(lines),
         )
-        ctx._scan_imports()
-        ctx._scan_suppressions()
-        return ctx
-
-    @classmethod
-    def from_file(cls, path: Path) -> "ModuleContext":
-        source = path.read_text(encoding="utf-8")
-        return cls.from_source(
-            source, path=str(path), module=module_name_for(path)
-        )
-
-    # -- name resolution ----------------------------------------------
-
-    def _scan_imports(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    # ``import numpy.random`` binds ``numpy``; only an
-                    # asname binds the full dotted path.
-                    target = alias.name if alias.asname else local
-                    self.imports[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.level:  # relative import: keep it package-local.
-                    base = "." * node.level + node.module
-                else:
-                    base = node.module
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.imports[local] = f"{base}.{alias.name}"
-
-    def dotted_name(self, node: ast.expr) -> str | None:
-        """The ``a.b.c`` chain of a Name/Attribute node, or ``None``."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(node.id)
-        return ".".join(reversed(parts))
 
     def resolve(self, node: ast.expr) -> str | None:
-        """Fully qualified dotted name of a Name/Attribute chain.
-
-        The chain's root is looked up in the import table, so with
-        ``import numpy as np`` the node ``np.random.rand`` resolves to
-        ``numpy.random.rand``; an unimported root resolves to itself.
-        """
-        dotted = self.dotted_name(node)
-        if dotted is None:
-            return None
-        root, _, rest = dotted.partition(".")
-        resolved_root = self.imports.get(root, root)
-        return f"{resolved_root}.{rest}" if rest else resolved_root
+        """:func:`resolve_imported` through this file's import table."""
+        return resolve_imported(node, self.imports)
 
     def in_module(self, *prefixes: str) -> bool:
         """Whether this file lies under any of the dotted prefixes."""
@@ -142,30 +225,8 @@ class ModuleContext:
             for prefix in prefixes
         )
 
-    # -- suppressions -------------------------------------------------
-
-    def _scan_suppressions(self) -> None:
-        for lineno, text in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(text)
-            if match is None:
-                continue
-            codes = {
-                code.strip() for code in match.group("codes").split(",")
-            }
-            if match.group("scope"):
-                self.file_suppressions |= codes
-                continue
-            # A comment-only line shields the next line, so the
-            # justification can sit above the code it excuses.
-            comment_only = text.lstrip().startswith("#")
-            target = lineno + 1 if comment_only else lineno
-            self.line_suppressions.setdefault(target, set()).update(codes)
-
     def is_suppressed(self, code: str, line: int) -> bool:
-        if code in self.file_suppressions or ALL_CODES in self.file_suppressions:
-            return True
-        codes = self.line_suppressions.get(line, ())
-        return code in codes or ALL_CODES in codes
+        return self.suppressions.is_suppressed(code, line)
 
     def source_line(self, line: int) -> str:
         """Stripped text of a 1-based source line ('' out of range)."""

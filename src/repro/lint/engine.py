@@ -1,10 +1,12 @@
-"""The lint driver: collect files, dispatch rules, apply suppressions.
+"""The per-file rule walk and file collection.
 
 One :class:`ModuleContext` is built per file and the AST is walked
 *once*; each node is dispatched to the rules that declared interest in
 its type (see :mod:`repro.lint.rules.base`).  Findings suppressed
 inline are dropped here -- the baseline layer
-(:mod:`repro.lint.baseline`) only ever sees live findings.
+(:mod:`repro.lint.baseline`) only ever sees live findings.  The driver
+that runs this walk over a tree, caches it and adds the whole-program
+rules is :func:`repro.lint.project.lint_project`.
 """
 
 from __future__ import annotations
@@ -80,45 +82,22 @@ def lint_source(
 
 
 def collect_files(paths: Sequence[str]) -> list[Path]:
-    """Expand files/directories into a sorted, deduplicated .py list.
+    """Expand files/directories into a deduplicated .py list.
 
-    Raises ``FileNotFoundError`` for a path that does not exist (the
-    CLI reports it and exits 2).
+    Directories expand in sorted order.  A file reachable under two
+    spellings (``pkg/src`` and ``$PWD/pkg/src``) is listed once, under
+    the first spelling given.  Raises ``FileNotFoundError`` for a path
+    that does not exist (the CLI reports it and exits 2).
     """
-    out: dict[Path, None] = {}
+    out: dict[Path, Path] = {}
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            for item in sorted(path.rglob("*.py")):
-                out[item] = None
+            found = sorted(path.rglob("*.py"))
         elif path.is_file():
-            out[path] = None
+            found = [path]
         else:
             raise FileNotFoundError(raw)
-    return list(out)
-
-
-def lint_paths(
-    paths: Sequence[str], codes: Sequence[str] | None = None
-) -> list[Finding]:
-    """Lint every ``.py`` file under the given paths."""
-    load_builtin_rules()
-    rule_classes = list(rules_for(codes))
-    findings: list[Finding] = []
-    for file_path in collect_files(paths):
-        try:
-            ctx = ModuleContext.from_file(file_path)
-        except SyntaxError as err:
-            findings.append(
-                Finding(
-                    path=str(file_path),
-                    line=err.lineno or 1,
-                    col=(err.offset or 1) - 1,
-                    code="ARCH000",
-                    message=f"file does not parse: {err.msg}",
-                    rule="syntax",
-                )
-            )
-            continue
-        findings.extend(lint_context(ctx, rule_classes))
-    return sorted(findings)
+        for item in found:
+            out.setdefault(item.resolve(), item)
+    return list(out.values())

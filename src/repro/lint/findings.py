@@ -7,7 +7,7 @@ the rule code, the file path and the stripped source line text (plus a
 duplicate index for identical lines) rather than the line *number*, so
 a baseline entry keeps matching when code above it moves.
 
-Cross-module findings (the ``--project`` rules, ARCH008-ARCH011) span
+Cross-module findings (the whole-program rules, ARCH008-ARCH011) span
 two files, so one source line cannot identify them.  They carry an
 *anchor* instead: a line-number-free string built from the sorted
 ``path::symbol`` endpoints of the cross-module path.  When an anchor is
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class Severity(enum.Enum):
@@ -82,35 +82,17 @@ class Finding:
         }
 
     def to_payload(self) -> dict:
-        """Full round-trip form (the ``--project`` summary cache).
+        """Full round-trip form (the summary cache).
 
         Unlike :meth:`to_dict` this keeps ``source_line`` and
         ``anchor``, so a finding replayed from cache fingerprints
         byte-identically to a freshly computed one.
         """
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "source_line": self.source_line,
-            "anchor": self.anchor,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["severity"] = str(self.severity)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Finding":
         """Inverse of :meth:`to_payload`."""
-        return cls(
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            code=payload["code"],
-            message=payload["message"],
-            rule=payload.get("rule", ""),
-            severity=Severity(payload.get("severity", "error")),
-            source_line=payload.get("source_line", ""),
-            anchor=payload.get("anchor", ""),
-        )
+        return cls(**{**payload, "severity": Severity(payload["severity"])})

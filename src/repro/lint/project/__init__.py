@@ -1,11 +1,14 @@
-"""Whole-program analysis for archlint (``archline lint --project``).
+"""The archlint driver: every ``archline lint`` run goes through here.
 
-The per-file engine (:mod:`repro.lint.engine`) sees one module at a
-time; the rules in this package see the whole ``src/repro`` tree at
-once.  The pipeline is:
+Each file is parsed once into a
+:class:`~repro.lint.context.ModuleContext`; the per-file rules
+(ARCH000-ARCH007, :mod:`repro.lint.engine`) run over it and its summary
+is extracted from the same context, so both share one import table and
+one suppression table.  The whole-program rules then see every module
+at once.  The pipeline is:
 
 1. **Summaries** (:mod:`~repro.lint.project.summaries`) -- every file
-   is parsed once and reduced to a JSON-able :class:`ModuleSummary`:
+   is reduced to a JSON-able :class:`ModuleSummary`:
    absolutized imports, per-function call sites (with exception guards
    and argument unit suffixes), RNG/wall-clock sink uses, raise sites,
    return-unit evidence, and per-class field/decorator shape.
@@ -28,6 +31,8 @@ once.  The pipeline is:
    misses parse in parallel across a process pool (``--jobs N``), so a
    warm whole-repo lint re-analyzes only changed files and produces
    byte-identical output to a cold run.
+
+``--select`` without a project rule skips steps 2-4.
 """
 
 from __future__ import annotations

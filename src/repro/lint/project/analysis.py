@@ -104,6 +104,15 @@ class ProjectAnalysis:
         self.fault_out: dict[str, dict[str, tuple[str, int]]] = {}
         #: func qname -> return unit.
         self.return_units: dict[str, str] = {}
+        #: (caller qname, call site, callee qname) for every call edge
+        #: between two distinct functions, in source order.
+        self.edges = [
+            (qname, call, callee)
+            for qname, func in graph.functions.items()
+            for call in func.calls
+            for callee in graph.callee_functions(call)
+            if callee != qname
+        ]
         self._compute_sinks()
         self._compute_faults()
         self._compute_return_units()
@@ -127,16 +136,12 @@ class ProjectAnalysis:
         changed = True
         while changed:
             changed = False
-            for qname, func in graph.functions.items():
+            for qname, call, callee in self.edges:
                 reach = self.sink_reach[qname]
-                for call in func.calls:
-                    for callee in graph.callee_functions(call):
-                        if callee == qname:
-                            continue
-                        for sid in self.sink_reach.get(callee, ()):
-                            if sid not in reach:
-                                reach[sid] = (callee, call.line)
-                                changed = True
+                for sid in self.sink_reach[callee]:
+                    if sid not in reach:
+                        reach[sid] = (callee, call.line)
+                        changed = True
 
     def sink_path(self, entry: str, sid: SinkId) -> list[str]:
         """The call chain from ``entry`` down to the sink's owner."""
@@ -167,21 +172,15 @@ class ProjectAnalysis:
         changed = True
         while changed:
             changed = False
-            for qname, func in graph.functions.items():
+            for qname, call, callee in self.edges:
                 out = self.fault_out[qname]
-                for call in func.calls:
-                    for callee in graph.callee_functions(call):
-                        if callee == qname:
-                            continue
-                        for fault, origin in self.fault_out.get(
-                            callee, {}
-                        ).items():
-                            if fault in out:
-                                continue
-                            outcome, _ = _guard_outcome(call.guards, fault)
-                            if outcome == _ESCAPES:
-                                out[fault] = origin
-                                changed = True
+                for fault, origin in self.fault_out[callee].items():
+                    if fault in out:
+                        continue
+                    outcome, _ = _guard_outcome(call.guards, fault)
+                    if outcome == _ESCAPES:
+                        out[fault] = origin
+                        changed = True
 
     def iter_swallows(self, scope: set[str]) -> Iterator[FaultSwallow]:
         """Swallow events inside ``scope`` (a set of function qnames)."""

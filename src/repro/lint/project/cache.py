@@ -1,4 +1,4 @@
-"""Content-addressed per-file summary cache for ``--project`` runs.
+"""Content-addressed per-file payload cache for ``archline lint --cache``.
 
 One JSON entry per source file, named by
 :func:`repro.store.fingerprint.fingerprint` over the file's path and
@@ -27,7 +27,7 @@ __all__ = ["ANALYSIS_VERSION", "SummaryCache"]
 #: Bump whenever the summary IR, the per-file rules, or the finding
 #: payload schema changes shape -- stale entries then miss on version
 #: instead of replaying wrong analysis.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 
 class SummaryCache:

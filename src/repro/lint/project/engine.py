@@ -1,7 +1,8 @@
-"""The ``--project`` driver: analyze, cache, fan out, converge, report.
+"""The lint driver: analyze, cache, fan out, converge, report.
 
-Per-file work (parse + per-file rules + module summary) is pure: a
-function of the file's path and bytes.  That purity is what makes the
+Every ``archline lint`` run goes through :func:`lint_project`.  Per-file
+work (parse + per-file rules ARCH000-ARCH007 + module summary) is pure:
+a function of the file's path and bytes.  That purity is what makes the
 other two features safe:
 
 * **incrementality** -- payloads are replayed from the content-addressed
@@ -15,14 +16,16 @@ other two features safe:
 
 The whole-program phase (graph build, fixed points, ARCH008-ARCH011)
 always runs in-process on the merged summaries: it is cheap relative
-to parsing and must see every module at once.
+to parsing and must see every module at once.  It is skipped entirely
+when ``--select`` names no project rule.
 
 Per-file findings are cached for *all* rules and filtered by
 ``--select`` at report time, so changing the selection never misses
 the cache.  A project finding is dropped when an inline
 ``# archlint: disable=CODE`` sits on **either** endpoint of its
-cross-module path (the suppression index is rebuilt from payloads, so
-it works identically from cache).
+cross-module path (each payload carries its file's
+:class:`~repro.lint.context.Suppressions`, so this works identically
+from cache).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ..context import ModuleContext, module_name_for
+from ..context import ModuleContext, Suppressions, module_name_for
 from ..engine import collect_files, lint_context
 from ..findings import Finding
 from ..rules import load_builtin_rules
@@ -44,13 +47,10 @@ from .summaries import ModuleSummary, summarize_module
 
 __all__ = ["ProjectStats", "analyze_file_payload", "lint_project"]
 
-#: Suppression comments that silence every code.
-_ALL = "all"
-
 
 @dataclass
 class ProjectStats:
-    """What a project run did (rendered on stderr, greppable in CI)."""
+    """What a lint run did (rendered on stderr, greppable in CI)."""
 
     files: int = 0
     cache_hits: int = 0
@@ -76,8 +76,8 @@ def analyze_file_payload(path: str, source_bytes: bytes) -> dict:
     stores and a pool worker ships back:
     ``{"findings": [...], "summary": {...}|None, "suppressions": ...}``.
     Findings cover *all* per-file rules (selection happens at report
-    time); a syntax error yields the standard ARCH000 finding and no
-    summary.
+    time); a syntax error yields the standard ARCH000 finding, no
+    summary and no suppressions.
     """
     load_builtin_rules()
     try:
@@ -100,20 +100,12 @@ def analyze_file_payload(path: str, source_bytes: bytes) -> dict:
         return {
             "findings": [finding.to_payload()],
             "summary": None,
-            "suppressions": {"file": [], "lines": {}},
+            "suppressions": Suppressions().to_dict(),
         }
-    per_file = [cls for cls in rules_for() if not cls.project]
-    findings = lint_context(ctx, per_file)
     return {
-        "findings": [finding.to_payload() for finding in findings],
+        "findings": [finding.to_payload() for finding in lint_context(ctx)],
         "summary": summarize_module(ctx).to_dict(),
-        "suppressions": {
-            "file": sorted(ctx.file_suppressions),
-            "lines": {
-                str(line): sorted(codes)
-                for line, codes in sorted(ctx.line_suppressions.items())
-            },
-        },
+        "suppressions": ctx.suppressions.to_dict(),
     }
 
 
@@ -123,28 +115,6 @@ def _pool_worker(item: tuple[str, bytes]) -> tuple[str, dict]:
     return path, analyze_file_payload(path, source_bytes)
 
 
-class _SuppressionIndex:
-    """Project-wide inline-suppression lookup, rebuilt from payloads."""
-
-    def __init__(self) -> None:
-        self._file: dict[str, set[str]] = {}
-        self._line: dict[str, dict[int, set[str]]] = {}
-
-    def add(self, path: str, suppressions: dict) -> None:
-        self._file[path] = set(suppressions.get("file", ()))
-        self._line[path] = {
-            int(line): set(codes)
-            for line, codes in suppressions.get("lines", {}).items()
-        }
-
-    def is_suppressed(self, code: str, path: str, line: int) -> bool:
-        file_codes = self._file.get(path, set())
-        if code in file_codes or _ALL in file_codes:
-            return True
-        line_codes = self._line.get(path, {}).get(line, set())
-        return code in line_codes or _ALL in line_codes
-
-
 def lint_project(
     paths: Sequence[str],
     codes: Sequence[str] | None = None,
@@ -152,13 +122,14 @@ def lint_project(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
 ) -> tuple[list[Finding], ProjectStats]:
-    """Whole-program lint over every ``.py`` file under ``paths``.
+    """Lint every ``.py`` file under ``paths`` with every rule.
 
     Returns ``(findings, stats)``: per-file findings (filtered to
     ``codes`` when given; ARCH000 always survives) merged with the
-    project-rule findings, sorted by location.  Raises ``KeyError``
-    for an unknown code in ``codes`` (same contract as
-    :func:`repro.lint.engine.lint_paths`).
+    project-rule findings, sorted by location.  Raises
+    ``FileNotFoundError`` for a path that does not exist and
+    ``KeyError`` for an unknown code in ``codes`` (the CLI turns both
+    into exit code 2).
     """
     load_builtin_rules()
     selected: set[str] | None = None
@@ -202,10 +173,10 @@ def lint_project(
 
     findings: list[Finding] = []
     summaries: list[ModuleSummary] = []
-    suppressions = _SuppressionIndex()
+    suppressions: dict[str, Suppressions] = {}
     for path in sorted(payloads):
         payload = payloads[path]
-        suppressions.add(path, payload.get("suppressions", {}))
+        suppressions[path] = Suppressions.from_dict(payload["suppressions"])
         for raw in payload["findings"]:
             finding = Finding.from_payload(raw)
             if (
@@ -224,7 +195,8 @@ def lint_project(
         graph = ProjectGraph(summaries)
         for finding, endpoints in run_project_rules(graph, project_codes):
             if any(
-                suppressions.is_suppressed(finding.code, path, line)
+                path in suppressions
+                and suppressions[path].is_suppressed(finding.code, line)
                 for path, line in endpoints
             ):
                 continue

@@ -15,7 +15,8 @@ What is recorded per function (methods included):
   enclosing the call, and the unit suffix of every argument;
 * **sinks**: uses of global-state RNG (``numpy.random.*`` functions,
   the stdlib ``random`` module) and wall-clock reads (``time.time``,
-  ``datetime.now`` family) -- the same sets ARCH001 bans per-file;
+  ``datetime.now`` family) -- exactly the uses ARCH001 bans per file
+  (both ask :func:`~repro.lint.rules.determinism.sink_kind`);
 * **raise sites** (leaf exception class names);
 * **return-unit evidence**: returned identifiers with unit suffixes
   and returned call results (chained through the fixed point);
@@ -35,17 +36,20 @@ recorded attribute types at graph time).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Mapping
 
-from ..context import ModuleContext
-from ..rules.determinism import _ALLOWED_NP_RANDOM, _WALL_CLOCK
-from ..rules.picklability import (
-    _annotation_names,
-    _frozen_true,
-    _is_dataclass_decorator,
+from ..context import (
+    ModuleContext,
+    absolute_imports,
+    absolutize,
+    dotted_name,
+    resolve_imported,
 )
-from ..rules.unit_discipline import _UNIT_SUFFIX_RE
+from ..rules.determinism import sink_kind
+from ..rules.exceptions import inspect_handler
+from ..rules.picklability import annotated_fields, dataclass_shape
+from ..rules.unit_discipline import unit_of, unit_suffix
 
 __all__ = [
     "CallSite",
@@ -60,59 +64,6 @@ __all__ = [
     "summarize_module",
     "unit_suffix",
 ]
-
-
-def unit_suffix(identifier: str) -> str:
-    """The physical unit an identifier's suffix implies ('' if none)."""
-    match = _UNIT_SUFFIX_RE.search(identifier)
-    return match.group(1) if match else ""
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` of a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def absolute_imports(
-    tree: ast.Module, module: str, is_package: bool
-) -> dict[str, str]:
-    """Local name -> fully absolutized dotted target.
-
-    Unlike :meth:`ModuleContext._scan_imports` this resolves relative
-    imports against the module's package (``from ..machine import x``
-    in ``repro.microbench.campaign`` -> ``repro.machine.x``) and
-    records ``from . import x`` bindings, both of which whole-program
-    resolution needs and per-file rules do not.
-    """
-    package = module if is_package else module.rpartition(".")[0]
-    out: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                out[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                parts = package.split(".") if package else []
-                keep = parts[: max(len(parts) - (node.level - 1), 0)]
-                base = ".".join(keep)
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            else:
-                base = node.module or ""
-            if not base:
-                continue
-            for alias in node.names:
-                local = alias.asname or alias.name
-                out[local] = f"{base}.{alias.name}"
-    return out
 
 
 # -- summary records ----------------------------------------------------
@@ -198,21 +149,11 @@ class SinkSite:
     col: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SinkSite":
-        return cls(
-            kind=data["kind"],
-            name=data["name"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-        )
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -223,11 +164,11 @@ class RaiseSite:
     line: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {"exc": self.exc, "line": self.line}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RaiseSite":
-        return cls(exc=data["exc"], line=int(data["line"]))
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -418,7 +359,7 @@ def _annotation_refs(annotation: ast.expr) -> list[str]:
     out: list[str] = []
 
     def walk(node: ast.expr) -> None:
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is not None:
             out.append(dotted)
             return
@@ -449,26 +390,7 @@ def _raise_leaf(node: ast.Raise) -> str:
 
 
 def _handler_guard(handler: ast.ExceptHandler) -> Guard:
-    if handler.type is None:
-        caught: tuple[str, ...] = ("",)
-    else:
-        nodes = (
-            handler.type.elts
-            if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        names = []
-        for node in nodes:
-            if isinstance(node, ast.Attribute):
-                names.append(node.attr)
-            elif isinstance(node, ast.Name):
-                names.append(node.id)
-        caught = tuple(names)
-    reraises = any(
-        isinstance(sub, ast.Raise)
-        for stmt in handler.body
-        for sub in ast.walk(stmt)
-    )
+    caught, reraises = inspect_handler(handler)
     return Guard(
         caught=caught,
         reraises=reraises,
@@ -503,18 +425,8 @@ class _FunctionCollector(ast.NodeVisitor):
 
     # -- reference resolution -----------------------------------------
 
-    def _resolve_root(self, dotted: str) -> str:
-        """Absolutize a dotted chain through imports and local defs."""
-        root, _, rest = dotted.partition(".")
-        base = self.imports.get(root)
-        if base is None:
-            base = self.toplevel.get(root)
-        if base is None:
-            return ""
-        return f"{base}.{rest}" if rest else base
-
     def _callee_refs(self, func: ast.expr) -> tuple[str, ...]:
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return ()
         parts = dotted.split(".")
@@ -534,15 +446,12 @@ class _FunctionCollector(ast.NodeVisitor):
             return tuple(
                 f"{ref}.{rest}" for ref in self.local_types[root]
             )
-        resolved = self._resolve_root(dotted)
+        resolved = absolutize(dotted, self.imports, self.toplevel)
         return (resolved,) if resolved else ()
 
     def _unit_ref(self, node: ast.expr) -> str:
         if isinstance(node, (ast.Name, ast.Attribute)):
-            identifier = (
-                node.id if isinstance(node, ast.Name) else node.attr
-            )
-            unit = unit_suffix(identifier)
+            unit = unit_of(node)
             return f"u:{unit}" if unit else ""
         if isinstance(node, ast.Call):
             refs = self._callee_refs(node.func)
@@ -602,39 +511,14 @@ class _FunctionCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_sink(self, node: ast.expr) -> None:
-        dotted = _dotted(node)
-        if dotted is None:
+        resolved = resolve_imported(node, self.imports)
+        if resolved is None:
             return
-        root = dotted.partition(".")[0]
-        if root not in self.imports:
-            return
-        resolved = self._resolve_root(dotted)
-        if not resolved:
-            return
-        if resolved.startswith("numpy.random."):
-            leaf = resolved.rsplit(".", 1)[1]
-            if leaf != "random" and leaf not in _ALLOWED_NP_RANDOM:
-                self.sinks.append(
-                    SinkSite(
-                        kind="rng",
-                        name=resolved,
-                        line=node.lineno,
-                        col=node.col_offset,
-                    )
-                )
-        elif resolved == "random" or resolved.startswith("random."):
+        kind = sink_kind(resolved)
+        if kind is not None:
             self.sinks.append(
                 SinkSite(
-                    kind="rng",
-                    name=resolved,
-                    line=node.lineno,
-                    col=node.col_offset,
-                )
-            )
-        elif resolved in _WALL_CLOCK:
-            self.sinks.append(
-                SinkSite(
-                    kind="clock",
+                    kind=kind,
                     name=resolved,
                     line=node.lineno,
                     col=node.col_offset,
@@ -692,17 +576,11 @@ class _FunctionCollector(ast.NodeVisitor):
                 self.attr_sink.setdefault(target.attr, []).extend(refs)
         # Unit-suffixed target taking a call result (return-boundary
         # unit check).
-        target_id = None
-        if isinstance(target, ast.Name):
-            target_id = target.id
-        elif isinstance(target, ast.Attribute):
-            target_id = target.attr
-        if target_id is not None:
-            unit = unit_suffix(target_id)
-            if unit:
-                ref = self._unit_ref(value)
-                if ref.startswith("c:"):
-                    self.unit_assigns.append((unit, ref, line))
+        unit = unit_of(target)
+        if unit:
+            ref = self._unit_ref(value)
+            if ref.startswith("c:"):
+                self.unit_assigns.append((unit, ref, line))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -724,7 +602,7 @@ class _FunctionCollector(ast.NodeVisitor):
         for dotted in _annotation_refs(annotation):
             if dotted in ("None", "Optional", "Union"):
                 continue
-            resolved = self._resolve_root(dotted)
+            resolved = absolutize(dotted, self.imports, self.toplevel)
             if resolved:
                 refs.append(resolved)
         return tuple(refs)
@@ -744,13 +622,13 @@ class _FunctionCollector(ast.NodeVisitor):
 
     # Nested defs/lambdas fold into the enclosing summary; their bodies
     # are walked with the same collector.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def _visit_nested(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
         for stmt in node.body:
             self.visit(stmt)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        for stmt in node.body:
-            self.visit(stmt)
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_nested
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self.visit(node.body)
@@ -805,53 +683,34 @@ def _summarize_class(
     toplevel: Mapping[str, str],
 ) -> tuple[ClassSummary, list[FunctionSummary]]:
     qname = f"{module}.{node.name}"
-    decorators = [
-        d for d in node.decorator_list if _is_dataclass_decorator(d)
-    ]
-    is_dataclass = bool(decorators)
-    frozen = any(_frozen_true(d) for d in decorators)
+    is_dataclass, frozen = dataclass_shape(node)
 
-    def resolve_base(base: ast.expr) -> str:
-        dotted = _dotted(base)
-        if dotted is None:
-            return ""
-        root, _, rest = dotted.partition(".")
-        resolved_root = imports.get(root) or toplevel.get(root) or root
-        return f"{resolved_root}.{rest}" if rest else resolved_root
+    def ref(dotted: str) -> str:
+        return absolutize(dotted, imports, toplevel) or dotted
 
     bases = tuple(
-        ref for ref in (resolve_base(base) for base in node.bases) if ref
+        ref(dotted)
+        for dotted in map(dotted_name, node.bases)
+        if dotted is not None
+    )
+    fields = tuple(
+        FieldSummary(
+            name=stmt.target.id,
+            line=stmt.lineno,
+            simple_names=tuple(sorted(names)),
+            refs=tuple(
+                ref(dotted) for dotted in _annotation_refs(stmt.annotation)
+            ),
+        )
+        for stmt, names in annotated_fields(node)
+        if isinstance(stmt.target, ast.Name)
     )
 
-    fields: list[FieldSummary] = []
     methods: list[str] = []
     functions: list[FunctionSummary] = []
     attr_sink: dict[str, list[str]] = {}
     for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            simple = tuple(sorted(set(_annotation_names(stmt.annotation))))
-            if "ClassVar" in simple:
-                continue  # not a field; never pickled.
-            refs = []
-            for dotted in _annotation_refs(stmt.annotation):
-                root, _, rest = dotted.partition(".")
-                resolved_root = (
-                    imports.get(root) or toplevel.get(root) or root
-                )
-                refs.append(
-                    f"{resolved_root}.{rest}" if rest else resolved_root
-                )
-            fields.append(
-                FieldSummary(
-                    name=stmt.target.id,
-                    line=stmt.lineno,
-                    simple_names=simple,
-                    refs=tuple(refs),
-                )
-            )
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.append(stmt.name)
             functions.append(
                 _summarize_function(
@@ -870,7 +729,7 @@ def _summarize_class(
         is_dataclass=is_dataclass,
         frozen=frozen,
         bases=bases,
-        fields=tuple(fields),
+        fields=fields,
         methods=tuple(methods),
         attr_refs=tuple(
             sorted(
@@ -884,8 +743,7 @@ def _summarize_class(
 
 def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     """Extract one file's :class:`ModuleSummary` from its parsed AST."""
-    is_package = ctx.path.endswith("__init__.py")
-    imports = absolute_imports(ctx.tree, ctx.module, is_package)
+    imports = ctx.imports
     toplevel: dict[str, str] = {}
     for node in ctx.tree.body:
         if isinstance(
@@ -916,7 +774,7 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     return ModuleSummary(
         module=ctx.module,
         path=ctx.path,
-        is_package=is_package,
+        is_package=ctx.path.endswith("__init__.py"),
         imports=tuple(sorted(imports.items())),
         functions=tuple(functions),
         classes=tuple(classes),

@@ -36,10 +36,6 @@ class Rule:
     scope: tuple[str, ...] | None = None
     #: AST node types dispatched to :meth:`visit`.
     interests: tuple[Type[ast.AST], ...] = ()
-    #: Whole-program rules only produce findings under ``--project``;
-    #: their registry entries here exist for ``--list-rules`` and
-    #: ``--select`` validation (see :mod:`repro.lint.project`).
-    project: bool = False
 
     def applies(self, ctx: ModuleContext) -> bool:
         return self.scope is None or ctx.in_module(*self.scope)

@@ -54,6 +54,25 @@ _WALL_CLOCK = frozenset(
 )
 
 
+def sink_kind(resolved: str) -> str | None:
+    """``"rng"``/``"clock"`` when a resolved dotted name is a banned
+    global-RNG or wall-clock use, else ``None``.
+
+    ARCH001 flags these per file; the module summaries record them as
+    sinks for the cross-module taint rule (ARCH008).
+    """
+    if resolved.startswith("numpy.random."):
+        leaf = resolved.rsplit(".", 1)[1]
+        if leaf != "random" and leaf not in _ALLOWED_NP_RANDOM:
+            return "rng"
+        return None
+    if resolved == "random" or resolved.startswith("random."):
+        return "rng"
+    if resolved in _WALL_CLOCK:
+        return "clock"
+    return None
+
+
 @register
 class DeterminismRule(Rule):
     code = "ARCH001"
@@ -74,45 +93,32 @@ class DeterminismRule(Rule):
         assert isinstance(node, (ast.Attribute, ast.Name))
         resolved = ctx.resolve(node)
         if resolved is None:
-            return
-        # Only chains rooted in an *imported* binding are module
-        # references; a local variable or parameter that happens to be
-        # called ``random`` is not the stdlib module.
-        root = self._root_name(node)
-        if root is None or root not in ctx.imports:
-            return
-        # Only flag the full chain, not its Attribute sub-nodes: the
-        # walk dispatches ``np.random.rand`` and its child
+            return  # rooted in a local or parameter, not a module.
+        # Only the full chain is a sink, not its Attribute sub-nodes:
+        # the walk dispatches ``np.random.rand`` and its child
         # ``np.random`` separately, and the child must stay silent.
-        if resolved.startswith("numpy.random."):
-            leaf = resolved.rsplit(".", 1)[1]
-            if leaf != "random" and leaf not in _ALLOWED_NP_RANDOM:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"global-state RNG call {resolved!r}: pass an explicit "
-                    f"numpy.random.Generator instead",
-                )
-        elif resolved == "random" or resolved.startswith("random."):
-            yield self.finding(
-                ctx,
-                node,
-                f"stdlib random module ({resolved!r}) in a model path: "
-                f"pass an explicit numpy.random.Generator instead",
-            )
-        elif resolved in _WALL_CLOCK:
+        kind = sink_kind(resolved)
+        if kind == "clock":
             yield self.finding(
                 ctx,
                 node,
                 f"wall-clock read {resolved!r} in a model path: use "
                 f"time.perf_counter (monotonic) or thread a timestamp in",
             )
-
-    @staticmethod
-    def _root_name(node: ast.expr) -> str | None:
-        while isinstance(node, ast.Attribute):
-            node = node.value
-        return node.id if isinstance(node, ast.Name) else None
+        elif kind == "rng" and resolved.startswith("numpy.random."):
+            yield self.finding(
+                ctx,
+                node,
+                f"global-state RNG call {resolved!r}: pass an explicit "
+                f"numpy.random.Generator instead",
+            )
+        elif kind == "rng":
+            yield self.finding(
+                ctx,
+                node,
+                f"stdlib random module ({resolved!r}) in a model path: "
+                f"pass an explicit numpy.random.Generator instead",
+            )
 
     def _check_import_from(
         self, node: ast.ImportFrom, ctx: ModuleContext

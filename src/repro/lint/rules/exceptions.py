@@ -42,30 +42,37 @@ _FAULT_CLASSES = frozenset(
 )
 
 
-def _caught_names(handler: ast.ExceptHandler) -> set[str]:
-    """Leaf class names this handler catches ('' for bare except)."""
+def inspect_handler(
+    handler: ast.ExceptHandler,
+) -> tuple[tuple[str, ...], bool]:
+    """``(caught, reraises)`` of one ``except`` clause.
+
+    ``caught`` holds the leaf class names the handler names, in source
+    order (``("",)`` for a bare except); ``reraises`` is whether its
+    body contains a ``raise``.  ARCH003 judges handlers by this shape
+    and the module summaries record it per guarded call site.
+    """
     if handler.type is None:
-        return {""}
-    nodes = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
+        caught: tuple[str, ...] = ("",)
+    else:
+        nodes = (
+            handler.type.elts
+            if isinstance(handler.type, ast.Tuple)
+            else [handler.type]
+        )
+        names = []
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.Name):
+                names.append(node.id)
+        caught = tuple(names)
+    reraises = any(
+        isinstance(sub, ast.Raise)
+        for stmt in handler.body
+        for sub in ast.walk(stmt)
     )
-    names = set()
-    for node in nodes:
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-    return names
-
-
-def _contains_raise(body: list[ast.stmt]) -> bool:
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Raise):
-                return True
-    return False
+    return caught, reraises
 
 
 def _uses_name(body: list[ast.stmt], name: str) -> bool:
@@ -98,7 +105,8 @@ class ExceptionHygieneRule(Rule):
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterable[Finding]:
         assert isinstance(node, ast.ExceptHandler)
-        caught = _caught_names(node)
+        names, reraises = inspect_handler(node)
+        caught = set(names)
         if "" in caught:
             yield self.finding(
                 ctx,
@@ -111,7 +119,7 @@ class ExceptionHygieneRule(Rule):
             accounted = node.name is not None and (
                 _uses_name(node.body, node.name)
             )
-            if not accounted and not _contains_raise(node.body):
+            if not accounted and not reraises:
                 label = "/".join(sorted(caught & _BROAD))
                 yield self.finding(
                     ctx,

@@ -18,7 +18,7 @@ A type with a custom ``__getstate__``/``__setstate__`` pair (the
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..context import ModuleContext
 from ..findings import Finding
@@ -98,38 +98,54 @@ def _annotation_names(annotation: ast.expr) -> Iterable[str]:
             yield from _annotation_names(parsed.body)
 
 
-@register
-class PicklabilityRule(Rule):
-    code = "ARCH002"
-    name = "pool-picklability"
-    description = (
-        "dataclasses in pool-boundary modules must be frozen=True with "
-        "picklable field annotations"
-    )
-    scope = POOL_MODULES
+def dataclass_shape(node: ast.ClassDef) -> tuple[bool, bool]:
+    """``(is_dataclass, frozen)`` from a class's decorators."""
+    decorators = [
+        d for d in node.decorator_list if _is_dataclass_decorator(d)
+    ]
+    return bool(decorators), any(_frozen_true(d) for d in decorators)
+
+
+def annotated_fields(
+    node: ast.ClassDef,
+) -> Iterator[tuple[ast.AnnAssign, set[str]]]:
+    """Each annotated field of a class body, with every name its
+    annotation mentions.  ``ClassVar`` declarations are not fields (never
+    pickled or fingerprinted) and are skipped."""
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        names = set(_annotation_names(stmt.annotation))
+        if "ClassVar" not in names:
+            yield stmt, names
+
+
+class FrozenDataclassRule(Rule):
+    """A dataclass must be frozen and name no ``forbidden`` type in a
+    field annotation (ARCH002 and ARCH007 differ only in scope, name
+    set and wording).
+
+    ``unfrozen_message`` is formatted with ``cls``; ``field_message``
+    with ``cls``, ``field`` and ``bad`` (the offending names, sorted and
+    comma-joined).
+    """
+
     interests = (ast.ClassDef,)
+    forbidden: frozenset[str] = frozenset()
+    unfrozen_message = ""
+    field_message = ""
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterable[Finding]:
         assert isinstance(node, ast.ClassDef)
-        decorators = [
-            d for d in node.decorator_list if _is_dataclass_decorator(d)
-        ]
-        if not decorators:
+        is_dataclass, frozen = dataclass_shape(node)
+        if not is_dataclass:
             return
-        if not any(_frozen_true(d) for d in decorators):
+        if not frozen:
             yield self.finding(
-                ctx,
-                node,
-                f"dataclass {node.name!r} rides the campaign process pool "
-                f"and must be declared @dataclass(frozen=True)",
+                ctx, node, self.unfrozen_message.format(cls=node.name)
             )
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign) or stmt.annotation is None:
-                continue
-            names = set(_annotation_names(stmt.annotation))
-            if "ClassVar" in names:
-                continue  # not a field; never pickled.
-            bad = sorted(names & _UNPICKLABLE_NAMES)
+        for stmt, names in annotated_fields(node):
+            bad = sorted(names & self.forbidden)
             if bad:
                 target = (
                     stmt.target.id
@@ -139,7 +155,27 @@ class PicklabilityRule(Rule):
                 yield self.finding(
                     ctx,
                     stmt,
-                    f"field {node.name}.{target} is annotated with "
-                    f"unpicklable type(s) {', '.join(bad)}: it cannot "
-                    f"cross the process-pool boundary",
+                    self.field_message.format(
+                        cls=node.name, field=target, bad=", ".join(bad)
+                    ),
                 )
+
+
+@register
+class PicklabilityRule(FrozenDataclassRule):
+    code = "ARCH002"
+    name = "pool-picklability"
+    description = (
+        "dataclasses in pool-boundary modules must be frozen=True with "
+        "picklable field annotations"
+    )
+    scope = POOL_MODULES
+    forbidden = _UNPICKLABLE_NAMES
+    unfrozen_message = (
+        "dataclass {cls!r} rides the campaign process pool and must be "
+        "declared @dataclass(frozen=True)"
+    )
+    field_message = (
+        "field {cls}.{field} is annotated with unpicklable type(s) {bad}: "
+        "it cannot cross the process-pool boundary"
+    )

@@ -2,11 +2,9 @@
 
 These classes carry the stable codes, names and descriptions so
 ``--list-rules`` and ``--select`` treat project rules exactly like
-per-file rules.  They emit nothing during a per-file walk (no
-``interests``); the implementations live in
-:mod:`repro.lint.project.rules` and run only under
-``archline lint --project``, where the whole-module-graph context they
-need exists.
+per-file rules.  They declare no ``interests``, so they emit nothing
+during the per-file walk; the implementations live in
+:mod:`repro.lint.project.rules` and run over the whole-module graph.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ class RngClockTaintRule(Rule):
         "run_campaign, Engine.run_batch) to a global-state RNG or "
         "wall-clock sink [project]"
     )
-    project = True
 
 
 @register
@@ -35,7 +32,6 @@ class UnitDataflowRule(Rule):
         "assignments (_joules into a _seconds parameter is a finding) "
         "[project]"
     )
-    project = True
 
 
 @register
@@ -47,7 +43,6 @@ class FaultFlowRule(Rule):
         "BenchmarkRunner's retry loop; no intermediate broad except may "
         "swallow it [project]"
     )
-    project = True
 
 
 @register
@@ -59,4 +54,3 @@ class PoolEscapeRule(Rule):
         "(ShardSpec/ShardReport/FittedPlatform) must be picklable "
         "frozen dataclasses [project]"
     )
-    project = True

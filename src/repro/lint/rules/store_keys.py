@@ -21,17 +21,8 @@ Mappings stay legal -- the canonical encoder sorts them by key.
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable
-
-from ..context import ModuleContext
-from ..findings import Finding
-from .base import Rule, register
-from .picklability import (
-    _annotation_names,
-    _frozen_true,
-    _is_dataclass_decorator,
-)
+from .base import register
+from .picklability import FrozenDataclassRule
 
 #: Annotation names with no stable iteration order (or no content
 #: fingerprint at all, for Callable).
@@ -49,7 +40,7 @@ _UNSTABLE_NAMES = frozenset(
 
 
 @register
-class StoreKeyStabilityRule(Rule):
+class StoreKeyStabilityRule(FrozenDataclassRule):
     code = "ARCH007"
     name = "store-key-stability"
     description = (
@@ -59,41 +50,13 @@ class StoreKeyStabilityRule(Rule):
     # repro.fleet dataclasses feed report hashing and (via fitted
     # theta) store keys, so they obey the same stability rules.
     scope = ("repro.store", "repro.fleet")
-    interests = (ast.ClassDef,)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterable[Finding]:
-        assert isinstance(node, ast.ClassDef)
-        decorators = [
-            d for d in node.decorator_list if _is_dataclass_decorator(d)
-        ]
-        if not decorators:
-            return
-        if not any(_frozen_true(d) for d in decorators):
-            yield self.finding(
-                ctx,
-                node,
-                f"store dataclass {node.name!r} must be declared "
-                f"@dataclass(frozen=True): published store records are "
-                f"immutable snapshots",
-            )
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign) or stmt.annotation is None:
-                continue
-            names = set(_annotation_names(stmt.annotation))
-            if "ClassVar" in names:
-                continue  # not a field; never fingerprinted.
-            bad = sorted(names & _UNSTABLE_NAMES)
-            if bad:
-                target = (
-                    stmt.target.id
-                    if isinstance(stmt.target, ast.Name)
-                    else ast.unparse(stmt.target)
-                )
-                yield self.finding(
-                    ctx,
-                    stmt,
-                    f"field {node.name}.{target} is annotated with "
-                    f"{', '.join(bad)}: unordered/callable fields have no "
-                    f"stable content fingerprint (sort into a tuple "
-                    f"instead)",
-                )
+    forbidden = _UNSTABLE_NAMES
+    unfrozen_message = (
+        "store dataclass {cls!r} must be declared @dataclass(frozen=True): "
+        "published store records are immutable snapshots"
+    )
+    field_message = (
+        "field {cls}.{field} is annotated with {bad}: unordered/callable "
+        "fields have no stable content fingerprint (sort into a tuple "
+        "instead)"
+    )

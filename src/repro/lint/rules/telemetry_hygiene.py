@@ -116,12 +116,7 @@ class TelemetryHygieneRule(Rule):
                     ctx, node, message.format(what=node.module)
                 )
         elif isinstance(node, ast.Attribute):
-            root = node
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if not (isinstance(root, ast.Name) and root.id in ctx.imports):
-                return  # rooted in a local, not a module reference.
-            resolved = ctx.resolve(node)
+            resolved = ctx.resolve(node)  # None when rooted in a local.
             if resolved and (
                 resolved == "numpy.random"
                 or resolved.startswith("numpy.random.")

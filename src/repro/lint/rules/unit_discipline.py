@@ -32,16 +32,20 @@ _UNIT_SUFFIX_RE = re.compile(
 )
 
 
-def unit_of(node: ast.expr) -> str | None:
-    """The unit an expression's identifier suffix implies, if any."""
-    if isinstance(node, ast.Name):
-        identifier = node.id
-    elif isinstance(node, ast.Attribute):
-        identifier = node.attr
-    else:
-        return None
+def unit_suffix(identifier: str) -> str:
+    """The physical unit an identifier's suffix implies ('' if none)."""
     match = _UNIT_SUFFIX_RE.search(identifier)
-    return match.group(1) if match else None
+    return match.group(1) if match else ""
+
+
+def unit_of(node: ast.expr) -> str:
+    """The unit a Name/Attribute's identifier suffix implies ('' if
+    none, or for any other expression)."""
+    if isinstance(node, ast.Name):
+        return unit_suffix(node.id)
+    if isinstance(node, ast.Attribute):
+        return unit_suffix(node.attr)
+    return ""
 
 
 @register

@@ -1,5 +1,5 @@
-"""CLI surface of the project mode: --project/--jobs/--cache,
---include-tests, --changed, and the flag-combination contract."""
+"""CLI surface of the single lint driver: whole-program findings,
+--jobs/--cache, --include-tests, --changed, and the flag contract."""
 
 from __future__ import annotations
 
@@ -37,25 +37,25 @@ def dirty(tmp_path):
 
 class TestProjectFlag:
     def test_project_mode_finds_cross_module_violation(self, dirty, capsys):
-        assert lint_main([str(dirty)]) == 0  # per-file mode: clean.
-        capsys.readouterr()
-        assert lint_main([str(dirty), "--project"]) == 1
-        captured = capsys.readouterr()
-        assert "ARCH008" in captured.out
-        assert "archlint project:" in captured.err
+        # Every run is whole-program; --project is accepted and ignored.
+        for extra in ([], ["--project"]):
+            assert lint_main([str(dirty), *extra]) == 1
+            captured = capsys.readouterr()
+            assert "ARCH008" in captured.out
+            assert "archlint project:" in captured.err
 
     def test_stats_line_reports_cache_hits(self, dirty, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        assert lint_main([str(dirty), "--project", "--cache", cache]) == 1
+        assert lint_main([str(dirty), "--cache", cache]) == 1
         assert "cache_hits=0" in capsys.readouterr().err
-        assert lint_main([str(dirty), "--project", "--cache", cache]) == 1
+        assert lint_main([str(dirty), "--cache", cache]) == 1
         err = capsys.readouterr().err
         assert "analyzed=0" in err
         assert "hit_rate=1.00" in err
 
     def test_cold_and_warm_json_are_identical(self, dirty, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        args = [str(dirty), "--project", "--cache", cache, "--format", "json"]
+        args = [str(dirty), "--jobs", "2", "--cache", cache, "--format", "json"]
         lint_main(args)
         cold = capsys.readouterr().out
         lint_main(args)
@@ -64,13 +64,11 @@ class TestProjectFlag:
         assert json.loads(cold)["total"] == 1
 
     def test_jobs_flag(self, dirty, capsys):
-        assert lint_main([str(dirty), "--project", "--jobs", "2"]) == 1
+        assert lint_main([str(dirty), "--jobs", "2"]) == 1
         assert "jobs=2" in capsys.readouterr().err
 
     def test_select_project_rule_only(self, dirty, capsys):
-        assert (
-            lint_main([str(dirty), "--project", "--select", "ARCH011"]) == 0
-        )
+        assert lint_main([str(dirty), "--select", "ARCH011"]) == 0
 
     def test_list_rules_includes_project_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -84,32 +82,16 @@ class TestProjectFlag:
     ):
         baseline = str(tmp_path / "baseline.json")
         assert (
-            lint_main(
-                [str(dirty), "--project", "--update-baseline",
-                 "--baseline", baseline]
-            )
+            lint_main([str(dirty), "--update-baseline", "--baseline", baseline])
             == 0
         )
         capsys.readouterr()
-        assert (
-            lint_main([str(dirty), "--project", "--baseline", baseline])
-            == 0
-        )
+        assert lint_main([str(dirty), "--baseline", baseline]) == 0
 
 
 class TestFlagContract:
-    def test_jobs_without_project_is_usage_error(self, dirty, capsys):
-        assert lint_main([str(dirty), "--jobs", "2"]) == 2
-        assert "--project" in capsys.readouterr().err
-
-    def test_cache_without_project_is_usage_error(self, dirty, capsys):
-        assert lint_main([str(dirty), "--cache", "/tmp/x"]) == 2
-
     def test_zero_jobs_is_usage_error(self, dirty, capsys):
-        assert lint_main([str(dirty), "--project", "--jobs", "0"]) == 2
-
-    def test_changed_with_project_is_usage_error(self, dirty, capsys):
-        assert lint_main([str(dirty), "--project", "--changed"]) == 2
+        assert lint_main([str(dirty), "--jobs", "0"]) == 2
 
 
 class TestIncludeTests:
@@ -179,7 +161,7 @@ class TestChanged:
         _git(tmp_path, "add", ".")
         _git(tmp_path, "commit", "-qm", "seed")
         monkeypatch.chdir(tmp_path)
-        # Nothing changed: clean exit without linting the dirty file.
+        # Nothing changed: the committed file's finding is filtered out.
         assert lint_main(["src", "--changed"]) == 0
         assert "no changed files" in capsys.readouterr().err
         # An untracked dirty file is picked up.
@@ -191,6 +173,50 @@ class TestChanged:
         out = capsys.readouterr().out
         assert "fresh.py" in out
         assert "dirty_committed.py" not in out
+
+    def test_changed_from_subdirectory_sees_modified_tracked_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # git diff names files relative to the repo root; a run from a
+        # subdirectory must still find the modified tracked file.
+        src = tmp_path / "pkg" / "src"
+        src.mkdir(parents=True)
+        module = src / "mod.py"
+        module.write_text("X = 1\n")
+        _git(tmp_path, "init", "-q")
+        _git(tmp_path, "add", ".")
+        _git(tmp_path, "commit", "-qm", "seed")
+        module.write_text(
+            "def run(step):\n    try:\n        step()\n"
+            "    except:\n        pass\n"
+        )
+        monkeypatch.chdir(tmp_path / "pkg")
+        assert lint_main(["src", "--changed"]) == 1
+        out = capsys.readouterr().out
+        assert "ARCH003" in out
+        assert "mod.py" in out
+
+    def test_changed_filters_cross_module_findings_by_path(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # --changed filters the whole-program run's findings: the
+        # ARCH008 finding sits in the sink file, so it is reported when
+        # that file changes, even though the entry file did not.
+        build_tree(tmp_path, DIRTY_TREE)
+        _git(tmp_path, "init", "-q")
+        _git(tmp_path, "add", ".")
+        _git(tmp_path, "commit", "-qm", "seed")
+        monkeypatch.chdir(tmp_path)
+        entry = tmp_path / "repro/microbench/campaign.py"
+        entry.write_text(entry.read_text() + "\nEXTRA = 1\n")
+        assert lint_main(["repro", "--changed"]) == 0
+        capsys.readouterr()
+        sink = tmp_path / "repro/store/store.py"
+        sink.write_text(sink.read_text() + "\nEXTRA = 1\n")
+        assert lint_main(["repro", "--changed"]) == 1
+        out = capsys.readouterr().out
+        assert "ARCH008" in out
+        assert "store.py" in out
 
     def test_changed_outside_git_is_usage_error(
         self, tmp_path, monkeypatch, capsys

@@ -110,3 +110,25 @@ def test_archline_lint_subcommand(tree, capsys):
     assert archline_main(["lint", str(tree)]) == 1
     assert "ARCH003" in capsys.readouterr().out
     assert archline_main(["lint", str(tree), "--select", "ARCH004"]) == 0
+
+
+def test_file_named_two_ways_is_linted_once(tree, monkeypatch, capsys):
+    # A relative and an absolute spelling of one directory: each file
+    # is analyzed once, reported under the first spelling given.
+    monkeypatch.chdir(tree.parent)
+    assert lint_main(["pkg", str(tree), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total"] == 1
+    assert payload["findings"][0]["path"] == "pkg/dirty.py"
+
+
+def test_collect_files_dedupes_on_resolved_path(tree, monkeypatch):
+    from repro.lint.engine import collect_files
+
+    monkeypatch.chdir(tree.parent)
+    files = collect_files(["pkg", str(tree), str(tree / "dirty.py")])
+    assert [str(path) for path in files] == [
+        "pkg/__init__.py",
+        "pkg/clean.py",
+        "pkg/dirty.py",
+    ]
