@@ -20,6 +20,7 @@ multi-channel measurement path and the interposer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,52 +51,62 @@ class RailTopology:
             raise ValueError("topology needs at least one rail")
         if len(self.rails) != len(self.fractions) or len(self.rails) != len(self.limits):
             raise ValueError("rails, fractions, limits must have equal lengths")
+        if not all(math.isfinite(f) for f in self.fractions):
+            raise ValueError(f"fractions must be finite, got {self.fractions}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {sum(self.fractions)}")
         if any(f < 0 for f in self.fractions):
             raise ValueError("fractions must be non-negative")
+        # `not limit > 0` also rejects NaN; inf (unlimited) passes.
+        if any(not limit > 0 for limit in self.limits):
+            raise ValueError(f"limits must be positive or inf, got {self.limits}")
 
     def split(self, trace: PowerTrace) -> dict[str, PowerTrace]:
         """Split a total-power trace into per-rail traces.
 
-        Per segment: each rail takes its fraction of total power,
-        clipped at its limit; clipped overflow is redistributed over
-        rails with headroom (pro rata by fraction).  The rail powers
-        always sum exactly to the total.
+        Each segment is split on its own, but all segments are computed
+        together as one ``(n_rails, n_segments)`` array: every rail
+        takes its fraction of the segment's total power, clipped at its
+        limit, and the clipped overflow is redistributed over the rails
+        with headroom (pro rata by fraction) in at most ``n_rails``
+        passes.  A segment drops out of the passes once its spill is
+        gone; a segment with no headroom on any rail violates the
+        limits pro rata instead (the hardware would brown out).  The
+        rail powers always sum exactly to the total.
         """
         totals = trace.values
         n_rails = len(self.rails)
-        alloc = np.empty((n_rails, len(totals)))
-        fractions = np.asarray(self.fractions)
-        limits = np.asarray(self.limits)
-        for j, total in enumerate(totals):
-            share = fractions * total
-            over = np.maximum(share - limits, 0.0)
-            share = np.minimum(share, limits)
-            spill = float(np.sum(over))
-            # Redistribute spill over rails with headroom (a few passes
-            # suffice; topologies have <= 3 rails).
-            for _ in range(n_rails):
-                if spill <= 1e-12:
-                    break
-                headroom = limits - share
-                open_rails = headroom > 1e-12
-                if not np.any(open_rails):
-                    # No headroom anywhere: violate limits pro rata
-                    # (the hardware would brown out; we keep the sum).
-                    share = share + spill * fractions
-                    spill = 0.0
-                    break
-                weights = np.where(open_rails, fractions, 0.0)
-                if weights.sum() == 0.0:
-                    weights = open_rails.astype(float)
-                weights = weights / weights.sum()
-                add = np.minimum(spill * weights, headroom)
-                share = share + add
-                spill -= float(np.sum(add))
-            alloc[:, j] = share
+        fractions = np.asarray(self.fractions)[:, None]
+        limits = np.asarray(self.limits)[:, None]
+        share = fractions * totals
+        over = np.maximum(share - limits, 0.0)
+        share = np.minimum(share, limits)
+        spill = np.sum(over, axis=0)
+        for _ in range(n_rails):
+            # A NaN spill stays active, so NaN totals take the brown-out
+            # branch below.
+            active = ~(spill <= 1e-12)
+            if not active.any():
+                break
+            headroom = limits - share
+            open_rails = headroom > 1e-12
+            any_open = open_rails.any(axis=0)
+            brown = active & ~any_open
+            share = np.where(brown, share + spill * fractions, share)
+            spill = np.where(brown, 0.0, spill)
+            weights = np.where(open_rails, fractions, 0.0)
+            weights = np.where(
+                np.sum(weights, axis=0) == 0.0, open_rails.astype(float), weights
+            )
+            # Segments with no open rail are masked out below; dividing
+            # them by 1 instead of 0 keeps 0/0 warnings away.
+            weights = weights / np.where(any_open, np.sum(weights, axis=0), 1.0)
+            add = np.minimum(spill * weights, headroom)
+            spread = active & any_open
+            share = np.where(spread, share + add, share)
+            spill = np.where(spread, spill - np.sum(add, axis=0), spill)
         return {
-            rail: PowerTrace(trace.edges.copy(), alloc[k])
+            rail: PowerTrace(trace.edges.copy(), share[k])
             for k, rail in enumerate(self.rails)
         }
 

@@ -142,6 +142,71 @@ class TestRails:
         rails = topo.split(trace)
         assert rails["a"].values[0] + rails["b"].values[0] == pytest.approx(100.0)
 
+    def test_second_pass_when_first_spill_clips_another_rail(self):
+        topo = RailTopology(
+            name="t",
+            rails=("slot", "8pin", "6pin"),
+            fractions=(0.3, 0.45, 0.25),
+            limits=(75.0, 150.0, 75.0),
+        )
+        # 295 W: the slot overflows by 13.5 W; its pro-rata spill would
+        # push the 6-pin 3.57 W past its limit, so a second pass moves
+        # that remainder onto the 8-pin.
+        rails = topo.split(PowerTrace.constant(295.0, 1.0))
+        assert rails["slot"].values[0] == 75.0
+        assert rails["6pin"].values[0] == 75.0
+        assert rails["8pin"].values[0] == pytest.approx(145.0, rel=1e-12)
+
+    def test_zero_power_segments_split_to_zero(self):
+        topo = RailTopology(
+            name="t", rails=("a", "b"), fractions=(0.5, 0.5), limits=(10.0, math.inf)
+        )
+        trace = PowerTrace.from_durations(np.ones(3), np.array([0.0, 30.0, 0.0]))
+        rails = topo.split(trace)
+        assert rails["a"].values.tolist() == [0.0, 10.0, 0.0]
+        assert rails["b"].values.tolist() == [0.0, 20.0, 0.0]
+
+    def test_brown_out_and_normal_segments_in_one_trace(self):
+        topo = RailTopology(
+            name="t", rails=("a", "b"), fractions=(0.5, 0.5), limits=(10.0, 30.0)
+        )
+        # 100 W browns out (60 W spill, no headroom: split pro rata past
+        # the limits), 8 W needs no spill, 30 W spills 5 W onto "b".
+        trace = PowerTrace.from_durations(np.ones(3), np.array([100.0, 8.0, 30.0]))
+        rails = topo.split(trace)
+        assert rails["a"].values.tolist() == [40.0, 4.0, 10.0]
+        assert rails["b"].values.tolist() == [60.0, 4.0, 20.0]
+
+    @pytest.mark.parametrize("excess, moved", [(4e-12, True), (1e-12, False)])
+    def test_spill_threshold(self, excess, moved):
+        topo = RailTopology(
+            name="t", rails=("a", "b"), fractions=(0.5, 0.5), limits=(10.0, math.inf)
+        )
+        total = 20.0 + excess
+        spill = 0.5 * total - 10.0
+        assert (spill > 1e-12) == moved
+        rails = topo.split(PowerTrace.constant(total, 1.0))
+        assert rails["a"].values[0] == 10.0
+        # At or below the threshold the spill is dropped, not moved.
+        assert rails["b"].values[0] == 0.5 * total + (spill if moved else 0.0)
+
+    @pytest.mark.parametrize(
+        "fractions, limits, message",
+        [
+            ((math.nan, 1.0), (math.inf, math.inf), "fractions must be finite"),
+            ((math.inf, 1.0), (math.inf, math.inf), "fractions must be finite"),
+            ((0.5, 0.5), (math.nan, math.inf), "limits must be positive"),
+            ((0.5, 0.5), (-10.0, math.inf), "limits must be positive"),
+            ((0.5, 0.5), (0.0, math.inf), "limits must be positive"),
+        ],
+        ids=[
+            "nan-fraction", "inf-fraction", "nan-limit", "negative-limit", "zero-limit"
+        ],
+    )
+    def test_rejects_invalid_fraction_or_limit(self, fractions, limits, message):
+        with pytest.raises(ValueError, match=message):
+            RailTopology("t", ("a", "b"), fractions, limits)
+
     def test_topology_selection(self):
         assert topology_for(platform("gtx-titan")).name == "discrete-gpu"
         assert topology_for(platform("xeon-phi")).name == "coprocessor"
