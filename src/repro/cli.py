@@ -96,20 +96,32 @@ __all__ = [
     "main",
     "build_parser",
     "nonnegative_float",
+    "nonnegative_int",
     "positive_float",
     "positive_int",
 ]
 
 
-def positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}"
         ) from None
+
+
+def positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp_p.add_argument(
         "--max-retries",
-        type=int,
+        type=nonnegative_int,
         default=2,
         metavar="N",
         help="per-run retry budget before a cell is quarantined "
@@ -526,13 +538,26 @@ def _progress_printer(total: int):
     return progress
 
 
+def _campaign_settings(args: argparse.Namespace) -> CampaignSettings:
+    """The settings an ``archline campaign`` invocation asks for."""
+    from .faults import FaultPlan
+
+    plan = None
+    if args.faults is not None:
+        try:
+            plan = FaultPlan.parse(args.faults)
+        except ValueError as err:
+            raise SystemExit(f"archline campaign: bad --faults spec: {err}")
+    settings = CampaignSettings(
+        seed=args.seed, faults=plan, max_retries=args.max_retries
+    )
+    return settings.scaled_down() if args.quick else settings
+
+
 def _cmd_campaign(
     platform_ids: list[str],
-    seed: int,
+    settings: CampaignSettings,
     workers: int | None,
-    quick: bool,
-    faults_spec: str | None = None,
-    max_retries: int = 2,
     shard_timeout: float | None = None,
     trace_path: str | None = None,
     show_progress: bool = False,
@@ -540,7 +565,6 @@ def _cmd_campaign(
     no_cache: bool = False,
     cache_refresh: bool = False,
 ) -> str:
-    from .faults import FaultPlan
     from .microbench.campaign import CampaignRunner
     from .store.cli import resolve_cache_dir
 
@@ -550,12 +574,6 @@ def _cmd_campaign(
             f"archline campaign: unknown platform(s) {', '.join(unknown)}; "
             f"choose from {', '.join(PLATFORM_IDS)}"
         )
-    plan = None
-    if faults_spec is not None:
-        try:
-            plan = FaultPlan.parse(faults_spec)
-        except ValueError as err:
-            raise SystemExit(f"archline campaign: bad --faults spec: {err}")
     if no_cache:
         if cache_dir is not None:
             raise SystemExit(
@@ -570,21 +588,10 @@ def _cmd_campaign(
             "archline campaign: --refresh needs a cache (--cache DIR or "
             "$ARCHLINE_CACHE)"
         )
-    settings = CampaignSettings(seed=seed)
-    if quick:
-        settings = settings.scaled_down()
     runner = CampaignRunner(
         tuple(platform_ids) if platform_ids else None,
-        seed=settings.seed,
+        settings=settings,
         max_workers=workers,
-        replicates=settings.replicates,
-        points_per_octave=settings.points_per_octave,
-        target_duration=settings.target_duration,
-        include_double=settings.include_double,
-        include_cache=settings.include_cache,
-        include_chase=settings.include_chase,
-        faults=plan,
-        max_retries=max_retries,
         shard_timeout=shard_timeout,
         trace=trace_path is not None,
         cache_dir=cache,
@@ -596,6 +603,7 @@ def _cmd_campaign(
     fits = runner.run(progress=progress)
     report = runner.report
     assert report is not None
+    plan = settings.faults
     resilient = plan is not None or not report.ok
     columns = ["platform", "runs", "cal hit rate", "shard time",
                "tau_flop dev"]
@@ -767,11 +775,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             _cmd_campaign(
                 args.platform_ids,
-                args.seed,
+                _campaign_settings(args),
                 args.workers,
-                args.quick,
-                faults_spec=args.faults,
-                max_retries=args.max_retries,
                 shard_timeout=args.shard_timeout,
                 trace_path=args.trace,
                 show_progress=args.progress,

@@ -15,7 +15,7 @@ matching the identifiability analysis in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,14 +107,10 @@ def quantify(
     base = settings or CampaignSettings()
     fits = []
     for k in range(n_seeds):
-        seeded = CampaignSettings(
+        seeded = replace(
+            base,
             seed=base_seed + 101 * k,
-            replicates=base.replicates,
-            points_per_octave=base.points_per_octave,
-            target_duration=base.target_duration,
             include_double=False,  # single precision carries the fit
-            include_cache=base.include_cache,
-            include_chase=base.include_chase,
         )
         fits.append(run_platform_fit(platform_id, seeded))
     truth = fits[0].truth

@@ -22,8 +22,10 @@ from .pointer_chase import chase_sweep, dram_miss_fraction
 from .runner import BenchmarkRunner, Observation, QuarantinedCell, validate_measured_run
 from .suite import (
     Campaign,
+    CampaignSettings,
     FittedPlatform,
     fit_campaign,
+    fit_platform,
     run_campaign,
     to_fit_observations,
 )
@@ -55,8 +57,10 @@ __all__ = [
     "QuarantinedCell",
     "validate_measured_run",
     "Campaign",
+    "CampaignSettings",
     "FittedPlatform",
     "fit_campaign",
+    "fit_platform",
     "run_campaign",
     "to_fit_observations",
 ]

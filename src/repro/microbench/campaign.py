@@ -46,9 +46,10 @@ reproducible regardless of worker count:
   at cell granularity inside each shard by
   :class:`~repro.microbench.runner.BenchmarkRunner`.
 
-The sequential per-platform path
-(:func:`repro.experiments.common.run_platform_fit`) is unchanged and
-remains the reference oracle.
+Every shard runs the same campaign-and-fit recipe as the sequential
+per-platform path (:func:`repro.microbench.suite.fit_platform`); the
+two differ only in the seed (the shard's spawned child seed instead of
+``settings.seed``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..faults.plan import FaultPlan
 from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.fingerprint import shard_key
 from ..store.store import CampaignStore
@@ -73,9 +73,8 @@ from ..telemetry.recorder import (
     SpanTable,
     TraceRecorder,
 )
-from .intensity import balanced_intensities
 from .runner import BenchmarkRunner, QuarantinedCell
-from .suite import FittedPlatform, fit_campaign, run_campaign
+from .suite import CampaignSettings, FittedPlatform, fit_platform
 
 __all__ = [
     "ShardSpec",
@@ -103,19 +102,12 @@ def shard_seeds(seed: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One unit of parallel campaign work: a platform plus its seed."""
+    """One unit of parallel campaign work: a platform plus its settings."""
 
     platform_id: str
-    seed: int  #: this shard's spawned seed (see :func:`shard_seeds`).
-    replicates: int = 2
-    points_per_octave: int = 3
-    target_duration: float = 0.25
-    include_double: bool = True
-    include_cache: bool = True
-    include_chase: bool = True
-    faults: FaultPlan | None = None  #: seeded rig-fault model (None = clean).
-    max_retries: int = 2  #: per-run retry budget under faults.
-    retry_backoff: float = 0.0  #: first retry delay, s (doubles per retry).
+    #: The campaign settings, with ``seed`` replaced by this shard's
+    #: spawned seed (see :func:`shard_seeds`).
+    settings: CampaignSettings
     trace: bool = False  #: record telemetry spans for this shard.
     #: Content-addressed store directory (docs/CACHE.md); ``None``
     #: disables caching.  Excluded (with ``cache_refresh`` and
@@ -332,6 +324,7 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
     *this* invocation's time.
     """
     started = time.perf_counter()
+    settings = spec.settings
     recorder = TraceRecorder() if spec.trace else NULL_RECORDER
     config = platform(spec.platform_id)
     store: CampaignStore | None = None
@@ -356,33 +349,17 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
                     spans=SpanTable.from_records(spans) if spans else (),
                 )
                 return fitted, report
-    grid = balanced_intensities(
-        config, points_per_octave=spec.points_per_octave
-    )
     runner = BenchmarkRunner(
         config,
-        seed=spec.seed,
-        target_duration=spec.target_duration,
-        faults=spec.faults,
-        max_retries=spec.max_retries,
-        retry_backoff=spec.retry_backoff,
+        seed=settings.seed,
+        target_duration=settings.target_duration,
+        faults=settings.faults,
+        max_retries=settings.max_retries,
         recorder=recorder,
     )
     with recorder.span("shard", platform=spec.platform_id):
-        with recorder.span("campaign"):
-            campaign = run_campaign(
-                config,
-                runner=runner,
-                replicates=spec.replicates,
-                intensities=grid,
-                include_double=spec.include_double,
-                include_cache=spec.include_cache,
-                include_chase=spec.include_chase,
-            )
-        fitted = fit_campaign(
-            campaign,
-            rng=np.random.default_rng(spec.seed + 1),
-            recorder=recorder,
+        fitted = fit_platform(
+            config, settings, runner=runner, recorder=recorder
         )
     fault_counters = runner.fault_counters
     # The publishable report: compute counters only.  Spans, trace
@@ -391,8 +368,8 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
     # its own.
     base = ShardReport(
         platform_id=spec.platform_id,
-        seed=spec.seed,
-        n_runs=campaign.n_runs,
+        seed=settings.seed,
+        n_runs=fitted.campaign.n_runs,
         calibration_hits=runner.calibration_hits,
         calibration_misses=runner.calibration_misses,
         wall_seconds=time.perf_counter() - started,
@@ -432,7 +409,7 @@ def _failed_report(
     """The report of a shard that produced no fit."""
     return ShardReport(
         platform_id=spec.platform_id,
-        seed=spec.seed,
+        seed=spec.settings.seed,
         n_runs=0,
         calibration_hits=0,
         calibration_misses=0,
@@ -449,24 +426,17 @@ class CampaignRunner:
     ----------
     platform_ids:
         Platforms to shard over (default: all twelve).
-    seed:
-        Parent seed; each shard draws its own child seed from it via
-        :func:`shard_seeds`, so results do not depend on worker count.
+    settings:
+        Campaign knobs forwarded to every shard (default
+        :class:`~repro.microbench.suite.CampaignSettings`).  Its
+        ``seed`` is the parent seed; each shard draws its own child
+        seed from it via :func:`shard_seeds`, so results do not depend
+        on worker count.
     max_workers:
         Process-pool width; ``1`` runs the shards inline in this
         process (still with spawned per-shard seeds, so the results
         are identical to any parallel run).  Default: one worker per
         shard, capped at the machine's CPU count.
-    replicates, points_per_octave, target_duration, include_*:
-        Campaign-size knobs, forwarded to every shard (see
-        :func:`repro.microbench.suite.run_campaign`).
-    faults:
-        Optional seeded :class:`~repro.faults.plan.FaultPlan` forwarded
-        to every shard.  ``None`` and the all-zero plan leave results
-        bit-for-bit identical to the clean path.
-    max_retries, retry_backoff:
-        Per-run retry budget and backoff under faults (see
-        :class:`~repro.microbench.runner.BenchmarkRunner`).
     shard_timeout:
         Deadline in seconds each shard must meet, measured from
         campaign start.  Shards still unfinished at the deadline are
@@ -501,17 +471,8 @@ class CampaignRunner:
         self,
         platform_ids: Sequence[str] | None = None,
         *,
-        seed: int = 2014,
+        settings: CampaignSettings | None = None,
         max_workers: int | None = None,
-        replicates: int = 2,
-        points_per_octave: int = 3,
-        target_duration: float = 0.25,
-        include_double: bool = True,
-        include_cache: bool = True,
-        include_chase: bool = True,
-        faults: FaultPlan | None = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.0,
         shard_timeout: float | None = None,
         shard_fn: Callable[[ShardSpec], tuple[FittedPlatform, ShardReport]] = run_shard,
         trace: bool = False,
@@ -539,17 +500,8 @@ class CampaignRunner:
             raise ValueError("shard_timeout must be positive (or None)")
         if cache_refresh and cache_dir is None:
             raise ValueError("cache_refresh requires cache_dir")
-        self.seed = seed
+        self.settings = CampaignSettings() if settings is None else settings
         self.max_workers = max_workers
-        self.replicates = replicates
-        self.points_per_octave = points_per_octave
-        self.target_duration = target_duration
-        self.include_double = include_double
-        self.include_cache = include_cache
-        self.include_chase = include_chase
-        self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.shard_timeout = shard_timeout
         self.shard_fn = shard_fn
         self.trace = trace
@@ -563,20 +515,11 @@ class CampaignRunner:
 
     def shard_specs(self) -> list[ShardSpec]:
         """The shard list, in platform order with spawned seeds."""
-        seeds = shard_seeds(self.seed, len(self.platform_ids))
+        seeds = shard_seeds(self.settings.seed, len(self.platform_ids))
         return [
             ShardSpec(
                 platform_id=pid,
-                seed=shard_seed,
-                replicates=self.replicates,
-                points_per_octave=self.points_per_octave,
-                target_duration=self.target_duration,
-                include_double=self.include_double,
-                include_cache=self.include_cache,
-                include_chase=self.include_chase,
-                faults=self.faults,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
+                settings=replace(self.settings, seed=shard_seed),
                 trace=self.trace,
                 cache_dir=self.cache_dir,
                 cache_refresh=self.cache_refresh,

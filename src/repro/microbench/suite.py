@@ -13,6 +13,12 @@ Both functions accept a content-addressed ``store``
 (:class:`~repro.store.store.CampaignStore`, docs/CACHE.md): the cell
 key covers every input that can change the result, a hit replays the
 cached object bit-identically, and a miss computes then publishes.
+
+``CampaignSettings`` is the one declaration of the campaign knobs, and
+``fit_platform`` the one campaign-and-fit recipe (intensity grid,
+campaign, fit rng ``seed + 1``) that every path producing theta-hat
+runs: the sequential fits, the parallel shards and the
+``theta="fitted"`` lookup.
 """
 
 from __future__ import annotations
@@ -31,18 +37,63 @@ from ..store.fingerprint import campaign_key, fit_key
 from ..store.store import CampaignStore
 from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .cachebench import cache_sweep
-from .intensity import intensity_sweep
+from .intensity import balanced_intensities, intensity_sweep
 from .peak import peak_flops, peak_stream, sustained_bandwidth, sustained_flops
 from .pointer_chase import chase_sweep
 from .runner import BenchmarkRunner, Observation, QuarantinedCell
 
 __all__ = [
     "Campaign",
+    "CampaignSettings",
     "FittedPlatform",
     "run_campaign",
     "fit_campaign",
+    "fit_platform",
     "to_fit_observations",
 ]
+
+
+@dataclass(frozen=True)
+class CampaignSettings:
+    """Knobs controlling campaign size and determinism.
+
+    The only place they are declared: the sequential fits, the parallel
+    shards (:class:`~repro.microbench.campaign.ShardSpec` carries one,
+    with ``seed`` replaced by the shard's spawned seed), the shard store
+    key and the CLI all take a ``CampaignSettings`` whole.
+    """
+
+    seed: int = 2014  #: the paper's publication year, for flavour.
+    replicates: int = 2
+    points_per_octave: int = 3
+    target_duration: float = 0.25  #: seconds per calibrated run.
+    include_double: bool = True
+    include_cache: bool = True
+    include_chase: bool = True
+    #: Seeded rig-fault model (None = clean rig; the all-zero plan is
+    #: bit-for-bit identical to None).
+    faults: FaultPlan | None = None
+    max_retries: int = 2  #: per-run retry budget under faults.
+
+    def __post_init__(self) -> None:
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
+        if self.points_per_octave < 1:
+            raise ValueError("points_per_octave must be >= 1")
+        if not self.target_duration > 0:
+            raise ValueError("target_duration must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+
+    def scaled_down(self) -> "CampaignSettings":
+        """Cheaper settings for smoke tests and benchmark harnesses."""
+        return replace(
+            self,
+            replicates=1,
+            points_per_octave=2,
+            target_duration=0.1,
+            include_double=False,
+        )
 
 
 @dataclass(frozen=True)
@@ -394,3 +445,52 @@ def fit_campaign(
         with rec.span("cache_store", platform=config.name, key=key[:12]):
             store.put(key, fitted, kind="fit", platform=config.name)
     return fitted
+
+
+def fit_platform(
+    config: PlatformConfig,
+    settings: CampaignSettings,
+    *,
+    runner: BenchmarkRunner | None = None,
+    recorder: TraceRecorder = NULL_RECORDER,
+    store: CampaignStore | None = None,
+    refresh: bool = False,
+) -> FittedPlatform:
+    """Run one platform's campaign under ``settings`` and fit it.
+
+    The single campaign-and-fit recipe: the intensity grid is the
+    platform's balanced grid at ``settings.points_per_octave``, and the
+    fit's generator is seeded with ``settings.seed + 1``.  The campaign
+    runs under a ``campaign`` span on ``recorder``.  ``runner``,
+    ``store`` and ``refresh`` pass through to :func:`run_campaign` (a
+    preconstructed runner must have been built from the same
+    ``settings``), and ``store``/``refresh`` also to
+    :func:`fit_campaign`.
+    """
+    grid = balanced_intensities(
+        config, points_per_octave=settings.points_per_octave
+    )
+    with recorder.span("campaign"):
+        campaign = run_campaign(
+            config,
+            seed=settings.seed,
+            replicates=settings.replicates,
+            intensities=grid,
+            target_duration=settings.target_duration,
+            include_double=settings.include_double,
+            include_cache=settings.include_cache,
+            include_chase=settings.include_chase,
+            faults=settings.faults,
+            max_retries=settings.max_retries,
+            runner=runner,
+            recorder=recorder,
+            store=store,
+            cache_refresh=refresh,
+        )
+    return fit_campaign(
+        campaign,
+        rng=np.random.default_rng(settings.seed + 1),
+        recorder=recorder,
+        store=store,
+        cache_refresh=refresh,
+    )

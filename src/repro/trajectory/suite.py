@@ -49,6 +49,7 @@ from __future__ import annotations
 import pickle
 import tempfile
 import time
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,7 @@ from ..machine.engine import Engine
 from ..machine.platforms import platform
 from ..microbench.campaign import CampaignRunner
 from ..microbench.kernels import intensity_kernel
+from ..microbench.suite import CampaignSettings
 
 __all__ = [
     "SUITE",
@@ -159,6 +161,15 @@ def _campaign_metrics(runner: CampaignRunner) -> dict:
     }
 
 
+def _quick_settings(
+    seed: int, quick: bool, faults: FaultPlan | None = None
+) -> CampaignSettings:
+    """The trajectory campaigns' scaled-down settings (one point per
+    octave under ``quick``)."""
+    settings = CampaignSettings(seed=seed, faults=faults).scaled_down()
+    return replace(settings, points_per_octave=1) if quick else settings
+
+
 def faulted_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     """Resilient inline campaign under a seeded fault plan."""
     plan = FaultPlan(
@@ -168,14 +179,8 @@ def faulted_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     )
     runner = CampaignRunner(
         ("gtx-titan", "nuc-gpu"),
-        seed=seed,
+        settings=_quick_settings(seed, quick, faults=plan),
         max_workers=1,
-        replicates=1,
-        points_per_octave=1 if quick else 2,
-        target_duration=0.1,
-        include_double=False,
-        faults=plan,
-        max_retries=2,
     )
     fits = runner.run()
     metrics = _campaign_metrics(runner)
@@ -187,12 +192,8 @@ def pool_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     """Four platforms sharded over a process pool."""
     runner = CampaignRunner(
         ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-        seed=seed,
+        settings=_quick_settings(seed, quick),
         max_workers=4,
-        replicates=1,
-        points_per_octave=1 if quick else 2,
-        target_duration=0.1,
-        include_double=False,
     )
     fits = runner.run()
     metrics = _campaign_metrics(runner)
@@ -232,12 +233,8 @@ def cached_campaign(*, seed: int = 2014, quick: bool = False) -> dict:
     def runner_for(cache_dir: str) -> CampaignRunner:
         return CampaignRunner(
             ("gtx-titan", "xeon-phi", "arndale-gpu", "nuc-gpu"),
-            seed=seed,
+            settings=_quick_settings(seed, quick),
             max_workers=1,
-            replicates=1,
-            points_per_octave=1 if quick else 2,
-            target_duration=0.1,
-            include_double=False,
             cache_dir=cache_dir,
         )
 

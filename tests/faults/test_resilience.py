@@ -14,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,9 +23,9 @@ from repro.machine.kernel import DRAM, KernelSpec
 from repro.machine.platforms import platform
 from repro.microbench.campaign import CampaignRunner, run_shard
 from repro.microbench.runner import BenchmarkRunner
-from repro.microbench.suite import fit_campaign, run_campaign
+from repro.microbench.suite import CampaignSettings, fit_campaign, run_campaign
 
-QUICK = dict(
+QUICK = CampaignSettings(
     replicates=1,
     points_per_octave=2,
     target_duration=0.1,
@@ -133,11 +134,8 @@ class TestFaultyCampaignCompletes:
         plan = FaultPlan(seed=99, run_failure_rate=0.10, sample_dropout=0.05)
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"),
-            seed=2014,
+            settings=replace(QUICK, faults=plan, max_retries=2),
             max_workers=2,
-            faults=plan,
-            max_retries=2,
-            **QUICK,
         )
         fits = runner.run()  # must not raise.
         report = runner.report
@@ -198,7 +196,7 @@ def sleeping_shard(spec):
 
 def quick_runner(shard_fn, **kwargs):
     return CampaignRunner(
-        ("gtx-titan", "nuc-gpu"), seed=2014, shard_fn=shard_fn, **QUICK, **kwargs
+        ("gtx-titan", "nuc-gpu"), settings=QUICK, shard_fn=shard_fn, **kwargs
     )
 
 
@@ -250,7 +248,6 @@ class TestShardIsolation:
             if __name__ == "__main__":
                 CampaignRunner(
                     ("gtx-titan", "nuc-gpu"),
-                    seed=2014,
                     shard_fn=hung_shard,
                     max_workers=2,
                     shard_timeout=0.5,

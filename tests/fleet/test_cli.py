@@ -18,6 +18,7 @@ from repro.cli import (
     build_parser,
     main,
     nonnegative_float,
+    nonnegative_int,
     positive_float,
     positive_int,
 )
@@ -81,6 +82,15 @@ class TestSharedValidators:
         with pytest.raises(argparse.ArgumentTypeError):
             positive_int(bad)
 
+    def test_nonnegative_int_accepts_zero(self):
+        assert nonnegative_int("0") == 0
+        assert nonnegative_int("3") == 3
+
+    @pytest.mark.parametrize("bad", ["-1", "1.5", "nan", "x"])
+    def test_nonnegative_int_rejects(self, bad):
+        with pytest.raises(argparse.ArgumentTypeError):
+            nonnegative_int(bad)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -90,6 +100,7 @@ class TestSharedValidators:
             ["fleet", "--workload", "w.json", "--horizon", "0"],
             ["fleet", "--workload", "w.json", "--states", "0"],
             ["campaign", "--shard-timeout", "nan"],
+            ["campaign", "--max-retries", "-1"],
             ["serve", "--max-batch", "0"],
             ["serve", "--max-body-bytes", "-1"],
             # Solver knobs removed with the heuristic they tuned.

@@ -8,6 +8,7 @@ stays tier-1 cheap.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from repro.microbench.campaign import (
     shard_seeds,
 )
 from repro.microbench.runner import BenchmarkRunner, Observation
+from repro.microbench.suite import CampaignSettings
 
-QUICK = dict(
+QUICK = CampaignSettings(
     replicates=1,
     points_per_octave=2,
     target_duration=0.1,
@@ -35,7 +37,9 @@ QUICK = dict(
 
 def quick_runner(platform_ids, seed=2014, max_workers=1):
     return CampaignRunner(
-        platform_ids, seed=seed, max_workers=max_workers, **QUICK
+        platform_ids,
+        settings=replace(QUICK, seed=seed),
+        max_workers=max_workers,
     )
 
 
@@ -44,7 +48,7 @@ def quick_runner(platform_ids, seed=2014, max_workers=1):
 def _shard_stub(spec, wall):
     return None, ShardReport(
         platform_id=spec.platform_id,
-        seed=spec.seed,
+        seed=spec.settings.seed,
         n_runs=1,
         calibration_hits=0,
         calibration_misses=0,
@@ -89,7 +93,9 @@ class TestShardSeeds:
 
 class TestRunShard:
     def test_reports_counters(self):
-        spec = ShardSpec(platform_id="gtx-titan", seed=99, **QUICK)
+        spec = ShardSpec(
+            platform_id="gtx-titan", settings=replace(QUICK, seed=99)
+        )
         fitted, report = run_shard(spec)
         assert fitted.config.name == platform("gtx-titan").name
         assert report.platform_id == "gtx-titan"
@@ -161,7 +167,11 @@ class TestCampaignRunner:
         assert [s.platform_id for s in specs] == [
             "gtx-titan", "xeon-phi", "nuc-gpu",
         ]
-        assert [s.seed for s in specs] == shard_seeds(2014, 3)
+        assert [s.settings.seed for s in specs] == shard_seeds(2014, 3)
+        # Every other knob reaches each shard unchanged.
+        assert all(
+            replace(s.settings, seed=QUICK.seed) == QUICK for s in specs
+        )
 
 
 class TestPoolAccounting:
@@ -174,7 +184,7 @@ class TestPoolAccounting:
         parallel_efficiency is understated by workers/len(specs)."""
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"), max_workers=8,
-            shard_fn=_sleepy_shard, **QUICK,
+            shard_fn=_sleepy_shard, settings=QUICK,
         )
         runner.run()
         report = runner.report
@@ -187,7 +197,7 @@ class TestPoolAccounting:
     def test_inline_run_reports_one_worker(self):
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"), max_workers=1,
-            shard_fn=lambda spec: _shard_stub(spec, 0.01), **QUICK,
+            shard_fn=lambda spec: _shard_stub(spec, 0.01), settings=QUICK,
         )
         runner.run()
         assert runner.report.workers == 1
@@ -195,7 +205,7 @@ class TestPoolAccounting:
     def test_single_shard_runs_inline_regardless_of_request(self):
         runner = CampaignRunner(
             ("gtx-titan",), max_workers=4,
-            shard_fn=lambda spec: _shard_stub(spec, 0.01), **QUICK,
+            shard_fn=lambda spec: _shard_stub(spec, 0.01), settings=QUICK,
         )
         runner.run()
         assert runner.report.workers == 1
@@ -203,7 +213,7 @@ class TestPoolAccounting:
     def test_failed_pool_shards_report_burned_time(self):
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"), max_workers=2,
-            shard_fn=_failing_shard, **QUICK,
+            shard_fn=_failing_shard, settings=QUICK,
         )
         fits = runner.run()
         report = runner.report
@@ -219,7 +229,7 @@ class TestPoolAccounting:
     def test_timeout_shards_report_elapsed_not_nominal(self):
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"), max_workers=2,
-            shard_fn=_hanging_shard, shard_timeout=0.4, **QUICK,
+            shard_fn=_hanging_shard, shard_timeout=0.4, settings=QUICK,
         )
         fits = runner.run()
         report = runner.report
@@ -244,7 +254,7 @@ class TestPoolAccounting:
             ("gtx-titan", "nuc-gpu", "xeon-phi", "arndale-gpu",
              "apu-gpu", "gtx-580"),
             max_workers=2,
-            shard_fn=_hanging_shard, shard_timeout=0.4, **QUICK,
+            shard_fn=_hanging_shard, shard_timeout=0.4, settings=QUICK,
         )
         fits = runner.run()
         report = runner.report
@@ -284,7 +294,7 @@ class TestProgressIsolation:
     def test_pool_progress_exception_recorded(self):
         runner = CampaignRunner(
             ("gtx-titan", "nuc-gpu"), max_workers=2,
-            shard_fn=_sleepy_shard, **QUICK,
+            shard_fn=_sleepy_shard, settings=QUICK,
         )
         runner.run(progress=self._boom)
         assert runner.report is not None

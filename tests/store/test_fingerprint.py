@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import repro.machine.engine as engine_module
 from repro.faults.plan import FaultPlan
 from repro.machine.platforms import platform
 from repro.microbench.campaign import ShardSpec
+from repro.microbench.suite import CampaignSettings
 from repro.store import (
     campaign_key,
     canonical,
@@ -72,10 +73,22 @@ class TestCanonical:
         assert canonical(A(1)) == canonical(A(1))
 
 
-def spec(**overrides) -> ShardSpec:
-    base = dict(platform_id="gtx-titan", seed=7)
-    base.update(overrides)
-    return ShardSpec(**base)
+def spec(platform_id: str = "gtx-titan", **settings) -> ShardSpec:
+    return ShardSpec(platform_id, CampaignSettings(**{"seed": 7, **settings}))
+
+
+def _changed(value):
+    """A different value of the same kind, for every field type
+    ``CampaignSettings`` declares (a new type fails here loudly)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2.0
+    if value is None:  # faults
+        return FaultPlan(seed=3, run_failure_rate=0.1)
+    raise TypeError(f"no alternative value for {value!r}")
 
 
 class TestShardKey:
@@ -87,13 +100,32 @@ class TestShardKey:
         config = platform("gtx-titan")
         assert shard_key(config, spec()) != shard_key(config, spec(seed=8))
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(CampaignSettings)]
+    )
+    def test_every_settings_field_changes_key(self, name):
+        """The key covers every campaign knob: changing any one field
+        of the shard's settings must address a different cell."""
+        config = platform("gtx-titan")
+        base = spec()
+        edited = replace(
+            base,
+            settings=replace(
+                base.settings,
+                **{name: _changed(getattr(base.settings, name))},
+            ),
+        )
+        assert edited.settings != base.settings
+        assert shard_key(config, base) != shard_key(config, edited)
+
     def test_trace_and_cache_fields_do_not_change_key(self):
         """Telemetry and cache control must never dirty a cell."""
         config = platform("gtx-titan")
         base = shard_key(config, spec())
-        assert base == shard_key(config, spec(trace=True))
+        assert base == shard_key(config, replace(spec(), trace=True))
         assert base == shard_key(
-            config, spec(cache_dir="/elsewhere", cache_refresh=True)
+            config,
+            replace(spec(), cache_dir="/elsewhere", cache_refresh=True),
         )
 
     def test_platform_config_edit_changes_key(self):

@@ -86,6 +86,43 @@ class TestCommands:
         assert "delta_pi" in out
 
 
+class TestCampaignCli:
+    def test_negative_max_retries_is_a_usage_error(self, capsys, monkeypatch):
+        """Rejected at parse time (exit 2) before any shard starts,
+        not swallowed as a failed shard behind "Campaign: 0 platforms"
+        and exit 0."""
+        from repro.microbench import campaign
+
+        def no_shards(self, progress=None):
+            raise AssertionError("a shard started")
+
+        monkeypatch.setattr(campaign.CampaignRunner, "run", no_shards)
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "campaign", "gtx-titan", "--quick", "--workers", "1",
+                    "--max-retries", "-1",
+                ]
+            )
+        assert err.value.code == 2
+        assert "--max-retries" in capsys.readouterr().err
+
+    def test_settings_come_from_the_flags(self):
+        from repro.cli import _campaign_settings
+
+        args = build_parser().parse_args(
+            [
+                "campaign", "--quick", "--seed", "7", "--max-retries", "0",
+                "--faults", "run_failure=0.1,seed=3",
+            ]
+        )
+        settings = _campaign_settings(args)
+        assert settings.seed == 7
+        assert settings.max_retries == 0
+        assert settings.faults.run_failure_rate == 0.1
+        assert settings.replicates == 1  # --quick scaled it down
+
+
 class TestServeParser:
     """``archline serve`` argument surface (the service itself is
     load-tested in tests/serve/)."""
