@@ -120,4 +120,4 @@ def test_parallel_campaign(benchmark):
         report.parallel_efficiency, 2
     )
     for shard in report.shards:
-        assert shard.calibration_hits > 0
+        assert shard.counters.calibration_hits > 0

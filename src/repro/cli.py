@@ -629,15 +629,15 @@ def _cmd_campaign(
         row = [
             shard.platform_id,
             str(shard.n_runs),
-            fmt_pct(shard.calibration_hit_rate),
+            fmt_pct(shard.counters.calibration_hit_rate),
             f"{shard.wall_seconds:.2f}s",
             dev,
         ]
         if resilient:
             row[1:1] = [
                 shard.status,
-                str(shard.runs_failed),
-                str(shard.retries),
+                str(shard.counters.runs_failed),
+                str(shard.counters.retries),
                 str(len(shard.quarantined)),
             ]
         table.add_row(*row)
@@ -651,10 +651,11 @@ def _cmd_campaign(
         if report.cache_stale:
             out += f", {report.cache_stale} stale entries evicted"
     if resilient:
+        counters = report.counters
         out += (
-            f"\n\nattempted {report.runs_attempted} runs: "
-            f"{report.runs_failed} failed ({report.retries} retried), "
-            f"{report.rejected} rejected, {report.runs_skipped} skipped, "
+            f"\n\nattempted {counters.runs_attempted} runs: "
+            f"{counters.runs_failed} failed ({counters.retries} retried), "
+            f"{counters.rejected} rejected, {counters.runs_skipped} skipped, "
             f"{len(report.quarantined_cells)} cells quarantined\n"
             + report.describe_losses()
         )

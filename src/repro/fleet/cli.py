@@ -29,14 +29,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from ..cli import positive_float
 from ..experiments.common import CampaignSettings, fitted_platform_config
 from ..machine.platforms import PLATFORM_IDS, platform
 from ..store.cli import CACHE_DIR_ENV, resolve_cache_dir
-from ..telemetry.recorder import NULL_RECORDER, SpanRecord, TraceRecorder
+from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .evaluate import evaluate_fleet
 from .offers import default_offer, parse_cost_overrides
 from .report import fleet_report, render_fleet
@@ -163,27 +163,6 @@ def build_fleet_parser(
     return parser
 
 
-@dataclass(frozen=True)
-class _FleetTraceShard:
-    """Duck-typed campaign ``ShardReport``: the whole solve exports as
-    one pseudo-shard named ``"fleet"`` (same pattern as serve)."""
-
-    platform_id: str
-    status: str
-    seed: int
-    wall_seconds: float
-    spans: tuple[SpanRecord, ...]
-
-
-@dataclass(frozen=True)
-class _FleetTraceReport:
-    """Duck-typed campaign ``CampaignReport`` (one shard)."""
-
-    workers: int
-    wall_seconds: float
-    shards: tuple[_FleetTraceShard, ...] = ()
-
-
 def write_fleet_trace(
     path: str | Path,
     recorder: TraceRecorder = NULL_RECORDER,
@@ -193,19 +172,12 @@ def write_fleet_trace(
     status: str = "ok",
 ) -> int:
     """Write the solve's spans as campaign-schema JSONL; returns lines."""
-    from ..telemetry.jsonl import write_trace
+    from ..telemetry.jsonl import write_shard_trace
 
-    shard = _FleetTraceShard(
-        platform_id="fleet",
-        status=status,
-        seed=seed,
-        wall_seconds=float(wall_seconds),
-        spans=recorder.records(),
+    return write_shard_trace(
+        path, "fleet", recorder.records(), wall_seconds=wall_seconds,
+        status=status, seed=seed,
     )
-    report = _FleetTraceReport(
-        workers=1, wall_seconds=float(wall_seconds), shards=(shard,)
-    )
-    return write_trace(path, report)
 
 
 def _usage(message: str) -> int:

@@ -18,9 +18,9 @@ reproducible regardless of worker count:
   is implicit: one runner per shard), and the sweeps prime that cache
   through the vectorised :meth:`~repro.machine.engine.Engine.run_batch`
   path.
-* **Counters.**  Every shard reports its run count, calibration
-  hit/miss counters, wall time, fault/retry/quarantine totals and
-  backoff-sleep seconds; the aggregate lands in
+* **Counters.**  Every shard reports its run count, wall time and
+  :class:`~repro.microbench.runner.RunCounters` (calibration hits and
+  misses, fault/retry/quarantine totals); the aggregate lands in
   :attr:`CampaignRunner.report`, whose ``workers`` field records the
   *actual* pool width so ``parallel_efficiency`` is normalised
   honestly.
@@ -73,7 +73,7 @@ from ..telemetry.recorder import (
     SpanTable,
     TraceRecorder,
 )
-from .runner import BenchmarkRunner, QuarantinedCell
+from .runner import BenchmarkRunner, QuarantinedCell, RunCounters
 from .suite import CampaignSettings, FittedPlatform, fit_platform
 
 __all__ = [
@@ -121,29 +121,20 @@ class ShardSpec:
 class ShardReport:
     """Progress/timing/fault counters one shard reports.
 
-    Fault-free shards leave every resilience field at its default; the
-    counters satisfy ``runs_attempted == n_runs + runs_failed`` and
-    ``runs_failed == retries + len(quarantined)`` (every failed attempt
-    was either retried or retired its cell).
+    ``counters`` satisfy ``RunCounters.check(n_runs, len(quarantined))``
+    (every attempt was accepted or failed, every failed attempt was
+    either retried or retired its cell); :meth:`checked_counters` is
+    what exporters read.
     """
 
     platform_id: str
     seed: int
     n_runs: int  #: observations accepted into the campaign.
-    calibration_hits: int
-    calibration_misses: int
     wall_seconds: float
     status: str = "ok"  #: "ok" | "failed" | "timeout".
     error: str = ""  #: failure message when status != "ok".
-    runs_attempted: int = 0  #: engine executions, including retries.
-    runs_failed: int = 0  #: attempts lost to a rig fault.
-    retries: int = 0  #: failed attempts that were retried.
-    rejected: int = 0  #: validation rejections (subset of runs_failed).
-    runs_skipped: int = 0  #: runs short-circuited by a quarantined cell.
-    samples_dropped: int = 0
-    samples_corrupted: int = 0  #: dropped + NaN + saturated samples.
+    counters: RunCounters = RunCounters()
     quarantined: tuple[QuarantinedCell, ...] = ()
-    backoff_seconds: float = 0.0  #: seconds slept in retry backoff.
     #: Store counters (all zero when the shard ran uncached).  A shard
     #: is all-or-nothing, so ``cache_hits + cache_misses <= 1``;
     #: ``cache_stale`` counts corrupt/foreign entries evicted on the
@@ -163,10 +154,16 @@ class ShardReport:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def calibration_hit_rate(self) -> float:
-        total = self.calibration_hits + self.calibration_misses
-        return self.calibration_hits / total if total else 0.0
+    def checked_counters(self) -> RunCounters:
+        """``counters``, after checking the accounting identities.
+
+        Raises ``ValueError`` naming this shard when they fail.
+        """
+        try:
+            self.counters.check(self.n_runs, len(self.quarantined))
+        except ValueError as err:
+            raise ValueError(f"shard {self.platform_id!r}: {err}") from None
+        return self.counters
 
 
 @dataclass(frozen=True)
@@ -220,32 +217,9 @@ class CampaignReport:
         return tuple(c for shard in self.shards for c in shard.quarantined)
 
     @property
-    def runs_attempted(self) -> int:
-        return sum(shard.runs_attempted for shard in self.shards)
-
-    @property
-    def runs_failed(self) -> int:
-        return sum(shard.runs_failed for shard in self.shards)
-
-    @property
-    def retries(self) -> int:
-        return sum(shard.retries for shard in self.shards)
-
-    @property
-    def rejected(self) -> int:
-        return sum(shard.rejected for shard in self.shards)
-
-    @property
-    def runs_skipped(self) -> int:
-        return sum(shard.runs_skipped for shard in self.shards)
-
-    @property
-    def samples_dropped(self) -> int:
-        return sum(shard.samples_dropped for shard in self.shards)
-
-    @property
-    def samples_corrupted(self) -> int:
-        return sum(shard.samples_corrupted for shard in self.shards)
+    def counters(self) -> RunCounters:
+        """Every shard's run counters, summed field by field."""
+        return sum((shard.counters for shard in self.shards), RunCounters())
 
     # -- store aggregates ---------------------------------------------
 
@@ -270,10 +244,6 @@ class CampaignReport:
         return self.cache_hits / total if total else 0.0
 
     # -- telemetry aggregates -----------------------------------------
-
-    @property
-    def backoff_seconds(self) -> float:
-        return sum(shard.backoff_seconds for shard in self.shards)
 
     @property
     def trace_bytes(self) -> int:
@@ -361,7 +331,6 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
         fitted = fit_platform(
             config, settings, runner=runner, recorder=recorder
         )
-    fault_counters = runner.fault_counters
     # The publishable report: compute counters only.  Spans, trace
     # bytes and cache counters describe *this execution*, not the
     # shard's content, so they stay out of the store -- replay attaches
@@ -370,18 +339,9 @@ def run_shard(spec: ShardSpec) -> tuple[FittedPlatform, ShardReport]:
         platform_id=spec.platform_id,
         seed=settings.seed,
         n_runs=fitted.campaign.n_runs,
-        calibration_hits=runner.calibration_hits,
-        calibration_misses=runner.calibration_misses,
         wall_seconds=time.perf_counter() - started,
-        runs_attempted=runner.runs_attempted,
-        runs_failed=runner.runs_failed,
-        retries=runner.retries,
-        rejected=runner.rejected,
-        runs_skipped=runner.runs_skipped,
-        samples_dropped=fault_counters.samples_dropped,
-        samples_corrupted=fault_counters.samples_corrupted,
+        counters=runner.counters,
         quarantined=tuple(runner.quarantined),
-        backoff_seconds=runner.backoff_seconds,
     )
     if store is not None:
         with recorder.span(
@@ -411,8 +371,6 @@ def _failed_report(
         platform_id=spec.platform_id,
         seed=spec.settings.seed,
         n_runs=0,
-        calibration_hits=0,
-        calibration_misses=0,
         wall_seconds=wall_seconds,
         status=status,
         error=error,

@@ -10,10 +10,10 @@ noise-free dry run, then executes the scaled kernel for real.
 Under an active :class:`~repro.faults.plan.FaultPlan` the runner also
 carries the *resilient execution path* a real rig operator needs:
 per-run validation (:func:`validate_measured_run` rejects non-finite or
-non-positive measurements with a named error), bounded retry with
-exponential backoff, and quarantine of ``(benchmark, kernel)`` cells
-that keep failing -- the campaign proceeds on surviving observations
-and the counters account for every attempt:
+non-positive measurements with a named error), bounded retry, and
+quarantine of ``(benchmark, kernel)`` cells that keep failing -- the
+campaign proceeds on surviving observations and the counters
+(:class:`RunCounters`) account for every attempt:
 
 ``runs_attempted == len(accepted) + runs_failed`` and
 ``runs_failed == retries + len(quarantined)``.
@@ -22,8 +22,7 @@ and the counters account for every attempt:
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 __all__ = [
     "Observation",
     "QuarantinedCell",
+    "RunCounters",
     "validate_measured_run",
     "BenchmarkRunner",
 ]
@@ -142,6 +142,56 @@ class QuarantinedCell:
         )
 
 
+@dataclass(frozen=True)
+class RunCounters:
+    """The run accounting of one benchmark runner (one campaign shard).
+
+    The single declaration of the campaign's run counters: the runner
+    snapshots them (:attr:`BenchmarkRunner.counters`), shard reports
+    carry them, campaign reports sum them, and the trace and trajectory
+    exporters emit them field by field in declaration order.
+    """
+
+    runs_attempted: int = 0  #: engine executions, including retries.
+    runs_failed: int = 0  #: attempts lost to a rig fault.
+    retries: int = 0  #: failed attempts that were retried.
+    rejected: int = 0  #: validation rejections (subset of runs_failed).
+    runs_skipped: int = 0  #: runs short-circuited by a quarantined cell.
+    calibration_hits: int = 0
+    calibration_misses: int = 0
+    samples_dropped: int = 0
+    samples_corrupted: int = 0  #: dropped + NaN + saturated samples.
+
+    def __add__(self, other: "RunCounters") -> "RunCounters":
+        return RunCounters(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
+        )
+
+    @property
+    def calibration_hit_rate(self) -> float:
+        total = self.calibration_hits + self.calibration_misses
+        return self.calibration_hits / total if total else 0.0
+
+    def check(self, n_runs: int, n_quarantined: int) -> None:
+        """Raise ``ValueError`` unless the accounting identities hold.
+
+        ``runs_attempted == n_runs + runs_failed`` (every attempt was
+        accepted or failed) and ``runs_failed == retries +
+        n_quarantined`` (every failure was retried or retired its cell),
+        where ``n_runs`` counts accepted observations.
+        """
+        if self.runs_attempted != n_runs + self.runs_failed:
+            raise ValueError(
+                f"runs_attempted {self.runs_attempted} != accepted {n_runs} "
+                f"+ runs_failed {self.runs_failed}"
+            )
+        if self.runs_failed != self.retries + n_quarantined:
+            raise ValueError(
+                f"runs_failed {self.runs_failed} != retries {self.retries} "
+                f"+ quarantined {n_quarantined}"
+            )
+
+
 def validate_measured_run(measured: MeasuredRun, run: str) -> None:
     """Per-run validation: reject corrupt measurements by name.
 
@@ -184,16 +234,12 @@ class BenchmarkRunner:
         :meth:`execute_resilient` / :meth:`execute_replicates`.
     max_retries:
         Extra attempts per run after a fault-class failure.
-    retry_backoff:
-        First retry delay in seconds, doubled per subsequent retry
-        (0 disables sleeping -- the twin's faults need no cool-down,
-        but a real rig's USB re-enumeration does).
     recorder:
         Optional :class:`~repro.telemetry.recorder.TraceRecorder`.
         Every execution records nested spans (``run`` containing
-        ``calibrate`` -> ``engine`` -> ``measure`` -> ``validate``)
-        and the ``backoff_seconds`` counter; both engines share the
-        recorder, so calibration dry-runs show up under ``calibrate``.
+        ``calibrate`` -> ``engine`` -> ``measure`` -> ``validate``);
+        both engines share the recorder, so calibration dry-runs show
+        up under ``calibrate``.
         The default no-op recorder leaves execution bit-for-bit
         unchanged.
     """
@@ -207,15 +253,12 @@ class BenchmarkRunner:
         powermon: PowerMon | None = None,
         faults: FaultPlan | None = None,
         max_retries: int = 2,
-        retry_backoff: float = 0.0,
         recorder: TraceRecorder | None = NULL_RECORDER,
     ) -> None:
         if not target_duration > 0:
             raise ValueError("target_duration must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
         self.config = config
         self.target_duration = target_duration
         self.recorder = NULL_RECORDER if recorder is None else recorder
@@ -229,28 +272,25 @@ class BenchmarkRunner:
         )
         self.rig = MeasurementRig(config, powermon, faults=self.injector)
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         # Calibration dry-runs are deterministic per kernel *shape*, so
         # replicated runs (and repeated sweeps over the same grid) can
         # reuse the factor instead of re-running the noise-free engine.
         self._calibration_cache: dict[tuple, float] = {}
-        self.calibration_hits = 0
-        self.calibration_misses = 0
-        # Resilience accounting (see the accounting identity in the
-        # module docstring).
-        self.runs_attempted = 0
-        self.runs_failed = 0
-        self.retries = 0
-        self.rejected = 0  #: validation failures (subset of runs_failed).
-        self.runs_skipped = 0  #: calls short-circuited by quarantine.
-        self.backoff_seconds = 0.0  #: total time slept between retries.
+        # Running tallies keyed by RunCounters field name (the sample
+        # counters live on the injector); read them through counters.
+        self._tally = {f.name: 0 for f in fields(RunCounters)}
         self.quarantined: list[QuarantinedCell] = []
         self._quarantined_keys: set[tuple[str, str]] = set()
 
     @property
-    def fault_counters(self) -> FaultCounters:
-        """The injector's corruption totals (zeros when fault-free)."""
-        return self.injector.counters if self.injector else FaultCounters()
+    def counters(self) -> RunCounters:
+        """A snapshot of this runner's run and sample counters."""
+        faults = self.injector.counters if self.injector else FaultCounters()
+        return replace(
+            RunCounters(**self._tally),
+            samples_dropped=faults.samples_dropped,
+            samples_corrupted=faults.samples_corrupted,
+        )
 
     @staticmethod
     def _shape_key(kernel: KernelSpec) -> tuple:
@@ -270,9 +310,9 @@ class BenchmarkRunner:
             dry = self._calibration_engine.run(kernel)
             factor = self.target_duration / dry.wall_time
             self._calibration_cache[key] = factor
-            self.calibration_misses += 1
+            self._tally["calibration_misses"] += 1
         else:
-            self.calibration_hits += 1
+            self._tally["calibration_hits"] += 1
         return factor
 
     def calibrate(self, kernel: KernelSpec) -> KernelSpec:
@@ -306,7 +346,7 @@ class BenchmarkRunner:
             batch = self._calibration_engine.run_batch(list(todo.values()))
         for key, wall_time in zip(todo, batch.wall_times):
             self._calibration_cache[key] = self.target_duration / float(wall_time)
-        self.calibration_misses += len(todo)
+        self._tally["calibration_misses"] += len(todo)
         return len(todo)
 
     @staticmethod
@@ -324,7 +364,7 @@ class BenchmarkRunner:
         measurement that fails validation.  Fault-free behaviour is
         unchanged.
         """
-        self.runs_attempted += 1
+        self._tally["runs_attempted"] += 1
         run = self._run_name(kernel, benchmark, replicate)
         recorder = self.recorder
         with recorder.span("run", benchmark=benchmark, kernel=kernel.name):
@@ -344,7 +384,7 @@ class BenchmarkRunner:
                     try:
                         validate_measured_run(measured, run)
                     except CorruptObservationError:
-                        self.rejected += 1
+                        self._tally["rejected"] += 1
                         raise
         return Observation(
             platform=self.config.name,
@@ -360,7 +400,7 @@ class BenchmarkRunner:
     def execute_resilient(
         self, kernel: KernelSpec, benchmark: str, *, replicate: int = 0
     ) -> Observation | None:
-        """Execute with bounded retry, backoff and quarantine.
+        """Execute with bounded retry and quarantine.
 
         Returns the observation, or ``None`` when the run was lost:
         either its cell is already quarantined (skipped without an
@@ -371,23 +411,16 @@ class BenchmarkRunner:
         """
         key = (benchmark, kernel.name)
         if key in self._quarantined_keys:
-            self.runs_skipped += 1
+            self._tally["runs_skipped"] += 1
             return None
-        delay = self.retry_backoff
         last_error: RigFaultError | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                self.retries += 1
-                if delay > 0:
-                    with self.recorder.span("backoff"):
-                        time.sleep(delay)
-                    self.backoff_seconds += delay
-                    self.recorder.add("backoff_seconds", delay)
-                    delay *= 2.0
+                self._tally["retries"] += 1
             try:
                 return self.execute(kernel, benchmark, replicate=replicate)
             except RigFaultError as err:
-                self.runs_failed += 1
+                self._tally["runs_failed"] += 1
                 last_error = err
         self._quarantined_keys.add(key)
         self.quarantined.append(

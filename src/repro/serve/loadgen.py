@@ -276,7 +276,13 @@ async def run_open_loop(
     seed: int = 2014,
 ) -> LoadReport:
     """Poisson open-loop arrivals at ``rate_rps``, one connection per
-    request; arrivals do not wait for completions."""
+    request; arrivals do not wait for completions.
+
+    Request ``i`` is due at the absolute time ``start + sum(gaps[:i+1])``
+    and its latency runs from that due time, so a stall (a slow event
+    loop, a blocking handler) neither thins the offered load nor hides
+    the time overdue requests waited to be sent.
+    """
     if rate_rps <= 0.0:
         raise ValueError("rate_rps must be positive")
     queries = (
@@ -288,22 +294,23 @@ async def run_open_loop(
     gaps = rng.exponential(1.0 / rate_rps, size=n_requests)
     report = LoadReport()
 
-    async def one(query: dict[str, Any]) -> None:
+    async def one(query: dict[str, Any], due: float) -> None:
         conn = HttpClient(host, port)
         try:
-            started = time.perf_counter()
             status, body = await conn.request(
                 "POST", "/predict", query, close=True
             )
-            report.record(query, status, body, time.perf_counter() - started)
+            report.record(query, status, body, time.perf_counter() - due)
         finally:
             await conn.close()
 
     started = time.perf_counter()
     tasks = []
-    for i in range(n_requests):
-        tasks.append(asyncio.ensure_future(one(queries[i])))
-        await asyncio.sleep(float(gaps[i]))
+    for query, due in zip(queries, started + np.cumsum(gaps)):
+        wait = due - time.perf_counter()
+        if wait > 0.0:
+            await asyncio.sleep(wait)
+        tasks.append(asyncio.ensure_future(one(query, float(due))))
     await asyncio.gather(*tasks)
     report.wall_seconds = time.perf_counter() - started
     return report

@@ -46,12 +46,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..telemetry.jsonl import write_trace
-from ..telemetry.recorder import NULL_RECORDER, SpanRecord, TraceRecorder
+from ..telemetry.jsonl import write_shard_trace
+from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
 from .batcher import Batcher
 from .protocol import (
     ProtocolError,
@@ -89,27 +89,6 @@ class _HttpRequest:
     close: bool  #: client sent ``Connection: close``.
 
 
-@dataclass
-class _ServeTraceShard:
-    """Duck-typed stand-in for a campaign ``ShardReport``: the whole
-    service is exported as one pseudo-shard named ``"serve"``."""
-
-    platform_id: str
-    status: str
-    seed: int
-    wall_seconds: float
-    spans: tuple[SpanRecord, ...]
-
-
-@dataclass
-class _ServeTraceReport:
-    """Duck-typed stand-in for a ``CampaignReport`` (one shard)."""
-
-    workers: int
-    wall_seconds: float
-    shards: list[_ServeTraceShard] = field(default_factory=list)
-
-
 def write_serve_trace(
     path: str | Path,
     recorder: TraceRecorder = NULL_RECORDER,
@@ -123,17 +102,10 @@ def write_serve_trace(
     :func:`repro.telemetry.jsonl.validate_trace_file` and reads back
     through ``read_spans`` under the shard name ``"serve"``.
     """
-    shard = _ServeTraceShard(
-        platform_id="serve",
+    return write_shard_trace(
+        path, "serve", recorder.records(), wall_seconds=wall_seconds,
         status=status,
-        seed=0,
-        wall_seconds=float(wall_seconds),
-        spans=recorder.records(),
     )
-    report = _ServeTraceReport(
-        workers=1, wall_seconds=float(wall_seconds), shards=[shard]
-    )
-    return write_trace(path, report)
 
 
 async def _read_request(

@@ -1,7 +1,7 @@
 """Statistics utilities: K-S test, descriptive stats, bootstrap, NLS."""
 
 from .bootstrap import BootstrapCI, bootstrap_ci, bootstrap_paired_ci
-from .descriptive import BoxplotStats, boxplot_stats, pearson, quantile, spearman
+from .descriptive import BoxplotStats, boxplot_stats, pearson, quantile
 from .ks import KSResult, kolmogorov_sf, ks_2sample, ks_statistic
 from .regression import LogFitResult, fit_log_params, nonnegative_lstsq
 
@@ -13,7 +13,6 @@ __all__ = [
     "boxplot_stats",
     "pearson",
     "quantile",
-    "spearman",
     "KSResult",
     "kolmogorov_sf",
     "ks_2sample",

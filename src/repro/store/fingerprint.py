@@ -142,13 +142,20 @@ def _fault_part(faults: FaultPlan | None) -> Any:
     return None if faults is None else canonical(faults)
 
 
+#: Shape of the ``ShardReport`` a shard cell stores.  Bumped when that
+#: dataclass changes fields: a cell of the old shape still unpickles,
+#: but replays with every new field silently at its class default.
+_SHARD_REPORT_SHAPE = 2
+
+
 def shard_key(config: PlatformConfig, spec: Any) -> str:
     """The store key of one campaign shard (``run_shard``'s unit).
 
     ``spec`` is a :class:`~repro.microbench.campaign.ShardSpec`; the
     key covers every field that can influence the shard's observations,
     fits or deterministic counters -- the platform and the whole of
-    ``spec.settings`` -- and deliberately **excludes** ``trace``
+    ``spec.settings`` -- plus the stored report's shape, and
+    deliberately **excludes** ``trace``
     (telemetry never perturbs results; traced and untraced shards are
     bit-identical) and the cache-control fields themselves.
     """
@@ -158,6 +165,7 @@ def shard_key(config: PlatformConfig, spec: Any) -> str:
         "platform": platform_fingerprint(config),
         "platform_id": spec.platform_id,
         "settings": spec.settings,
+        "report": _SHARD_REPORT_SHAPE,
     }
     assert "engine" in parts  # the engine version must key every cell.
     return fingerprint(parts)

@@ -10,9 +10,8 @@ line, each tagged with a ``"type"``:
     One per shard: ``shard`` (platform id), ``status``, ``seed``,
     ``wall_seconds``.
 ``counter``
-    Per-shard metric counters (runs, retries, calibration hits,
-    backoff seconds, trace bytes, ...): ``shard``, ``name``,
-    ``value``.
+    Per-shard metric counters (``n_runs``, every ``RunCounters`` field,
+    ``trace_bytes``, ``wall_seconds``): ``shard``, ``name``, ``value``.
 ``span``
     One closed span: ``shard``, ``index``, ``parent``, ``depth``,
     ``name``, ``start``, ``duration``, ``meta`` (string -> string).
@@ -26,8 +25,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .recorder import SpanRecord
 
@@ -38,6 +39,7 @@ __all__ = [
     "shard_counters",
     "campaign_records",
     "write_trace",
+    "write_shard_trace",
     "read_trace",
     "read_spans",
     "trace_bytes",
@@ -46,23 +48,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-#: Per-shard counters exported from a ``ShardReport`` (attribute order
-#: is the export order, so traces diff cleanly).
-_SHARD_COUNTER_FIELDS = (
-    "n_runs",
-    "runs_attempted",
-    "runs_failed",
-    "retries",
-    "rejected",
-    "runs_skipped",
-    "calibration_hits",
-    "calibration_misses",
-    "backoff_seconds",
-    "trace_bytes",
-    "wall_seconds",
-)
-
 
 def span_to_obj(shard: str, record: SpanRecord) -> dict[str, Any]:
     """One span as its JSONL object."""
@@ -116,15 +101,50 @@ def shard_counters(shard_report: Any) -> list[tuple[str, float]]:
     """The exported ``(name, value)`` counters of one shard report.
 
     Duck-typed on :class:`~repro.microbench.campaign.ShardReport` (no
-    import: telemetry stays standalone); unknown fields are skipped so
-    older pickled reports still export.
+    import: telemetry stays standalone): ``n_runs``, then every field
+    of its ``checked_counters()`` -- which raises ``ValueError`` naming
+    the shard when the accounting identities fail -- in declaration
+    order, then ``trace_bytes`` and ``wall_seconds``.
     """
-    out = []
-    for name in _SHARD_COUNTER_FIELDS:
-        value = getattr(shard_report, name, None)
-        if value is not None:
-            out.append((name, float(value)))
-    return out
+    counters = shard_report.checked_counters()
+    return [
+        ("n_runs", float(shard_report.n_runs)),
+        *((name, float(value)) for name, value in asdict(counters).items()),
+        ("trace_bytes", float(shard_report.trace_bytes)),
+        ("wall_seconds", float(shard_report.wall_seconds)),
+    ]
+
+
+def _header(workers: int, wall_seconds: float, shards: int) -> dict[str, Any]:
+    return {
+        "type": "campaign",
+        "schema": SCHEMA_VERSION,
+        "workers": int(workers),
+        "wall_seconds": float(wall_seconds),
+        "shards": shards,
+    }
+
+
+def _shard_records(
+    shard: str,
+    status: str,
+    seed: int,
+    wall_seconds: float,
+    counters: Sequence[tuple[str, float]],
+    spans: Iterable[SpanRecord],
+) -> Iterator[dict[str, Any]]:
+    """One shard's records: the shard line, its counters, its spans."""
+    yield {
+        "type": "shard",
+        "shard": shard,
+        "status": status,
+        "seed": int(seed),
+        "wall_seconds": float(wall_seconds),
+    }
+    for name, value in counters:
+        yield {"type": "counter", "shard": shard, "name": name, "value": value}
+    for record in spans:
+        yield span_to_obj(shard, record)
 
 
 def campaign_records(report: Any) -> Iterator[dict[str, Any]]:
@@ -133,43 +153,72 @@ def campaign_records(report: Any) -> Iterator[dict[str, Any]]:
     ``report`` is duck-typed on
     :class:`~repro.microbench.campaign.CampaignReport`: it needs
     ``workers``, ``wall_seconds`` and ``shards`` (each shard with
-    ``platform_id``, ``status``, ``seed``, ``wall_seconds``, the
-    counter fields, and ``spans``).
+    ``platform_id``, ``status``, ``seed``, ``wall_seconds``, ``n_runs``,
+    ``trace_bytes``, ``checked_counters()`` and ``spans``).  Every
+    shard's counters are checked before the first record is produced.
     """
-    yield {
-        "type": "campaign",
-        "schema": SCHEMA_VERSION,
-        "workers": int(report.workers),
-        "wall_seconds": float(report.wall_seconds),
-        "shards": len(report.shards),
-    }
-    for shard in report.shards:
-        yield {
-            "type": "shard",
-            "shard": shard.platform_id,
-            "status": shard.status,
-            "seed": int(shard.seed),
-            "wall_seconds": float(shard.wall_seconds),
-        }
-        for name, value in shard_counters(shard):
-            yield {
-                "type": "counter",
-                "shard": shard.platform_id,
-                "name": name,
-                "value": value,
-            }
-        for record in getattr(shard, "spans", ()):
-            yield span_to_obj(shard.platform_id, record)
+    counters = [shard_counters(shard) for shard in report.shards]
+    return chain(
+        [_header(report.workers, report.wall_seconds, len(report.shards))],
+        *(
+            _shard_records(
+                shard.platform_id,
+                shard.status,
+                shard.seed,
+                shard.wall_seconds,
+                exported,
+                shard.spans,
+            )
+            for shard, exported in zip(report.shards, counters)
+        ),
+    )
 
 
-def write_trace(path: str | Path, report: Any) -> int:
-    """Write a campaign's full trace as JSONL; returns lines written."""
+def _write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
     lines = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for obj in campaign_records(report):
+        for obj in records:
             handle.write(_dumps(obj) + "\n")
             lines += 1
     return lines
+
+
+def write_trace(path: str | Path, report: Any) -> int:
+    """Write a campaign's full trace as JSONL; returns lines written.
+
+    Raises ``ValueError`` naming the shard, before the file is opened,
+    when a shard's counters break the accounting identities.
+    """
+    return _write_records(path, campaign_records(report))
+
+
+def write_shard_trace(
+    path: str | Path,
+    shard: str,
+    spans: Sequence[SpanRecord],
+    *,
+    wall_seconds: float,
+    status: str = "ok",
+    seed: int = 0,
+) -> int:
+    """Write one non-campaign scope (a service, a solve) as a
+    single-shard campaign-schema trace; returns lines written.
+
+    The records are the header, the shard line, its ``wall_seconds``
+    counter and the spans, so the file validates with
+    :func:`validate_trace_file` and reads back through
+    :func:`read_spans` under the name ``shard``.
+    """
+    wall = float(wall_seconds)
+    return _write_records(
+        path,
+        chain(
+            [_header(1, wall, 1)],
+            _shard_records(
+                shard, status, seed, wall, [("wall_seconds", wall)], spans
+            ),
+        ),
+    )
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import pickle
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable
 
 import numpy as np
@@ -59,6 +59,7 @@ from ..machine.engine import Engine
 from ..machine.platforms import platform
 from ..microbench.campaign import CampaignRunner
 from ..microbench.kernels import intensity_kernel
+from ..microbench.runner import RunCounters
 from ..microbench.suite import CampaignSettings
 
 __all__ = [
@@ -140,8 +141,16 @@ def capped_sweep(*, seed: int = 2014, quick: bool = False) -> dict:
 
 
 def _campaign_metrics(runner: CampaignRunner) -> dict:
+    """The report's timing and every summed ``RunCounters`` field.
+
+    Each shard's counters are checked first: a shard that breaks the
+    accounting identities raises ``ValueError`` naming it.
+    """
     report = runner.report
     assert report is not None
+    counters = sum(
+        (shard.checked_counters() for shard in report.shards), RunCounters()
+    )
     wall = report.wall_seconds
     return {
         "wall_seconds": wall,
@@ -150,14 +159,9 @@ def _campaign_metrics(runner: CampaignRunner) -> dict:
         "workers": report.workers,
         "parallel_efficiency": report.parallel_efficiency,
         "shard_seconds": report.shard_seconds,
-        "runs_attempted": report.runs_attempted,
-        "runs_failed": report.runs_failed,
-        "retries": report.retries,
-        "rejected": report.rejected,
-        "runs_skipped": report.runs_skipped,
+        **asdict(counters),
         "quarantined_cells": len(report.quarantined_cells),
         "failed_shards": len(report.failed_shards),
-        "backoff_seconds": report.backoff_seconds,
     }
 
 

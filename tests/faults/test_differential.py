@@ -76,10 +76,11 @@ class TestRunnerIdentity:
             platform("gtx-titan"), seed=7, faults=FaultPlan.zero()
         )
         intensity_sweep(runner, replicates=1)
-        assert runner.runs_failed == 0
-        assert runner.retries == 0
+        counters = runner.counters
+        assert counters.runs_failed == 0
+        assert counters.retries == 0
         assert runner.quarantined == []
-        assert runner.fault_counters.samples_corrupted == 0
+        assert counters.samples_corrupted == 0
 
 
 class TestCampaignIdentity:
@@ -105,7 +106,7 @@ class TestCampaignIdentity:
         )
         self.assert_fits_identical(reference[0], fits)
         assert report.ok
-        assert report.runs_failed == 0
+        assert report.counters.runs_failed == 0
         assert report.quarantined_cells == ()
         assert report.n_runs == reference[1].n_runs
 
@@ -166,7 +167,5 @@ class TestSeededDeterminism:
                 platform("nuc-gpu"), seed=3, faults=plan, max_retries=1
             )
             obs = runner.execute_replicates(kernel, "intensity", 3)
-            outcomes.append(
-                (obs, runner.runs_failed, runner.retries, len(runner.quarantined))
-            )
+            outcomes.append((obs, runner.counters, len(runner.quarantined)))
         assert outcomes[0] == outcomes[1]

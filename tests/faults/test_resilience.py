@@ -1,6 +1,6 @@
 """Resilient execution: retry, quarantine, shard isolation, deadlines.
 
-The accounting identity under test everywhere:
+The accounting identity under test everywhere (``RunCounters.check``):
 
     runs_attempted == n_accepted + runs_failed
     runs_failed    == retries + len(quarantined)
@@ -39,10 +39,10 @@ def kernel():
     return KernelSpec(name="k", flops=1e9, traffic={DRAM: 1e9})
 
 
-def assert_accounting(runner_or_report, n_accepted, quarantined):
-    r = runner_or_report
-    assert r.runs_attempted == n_accepted + r.runs_failed
-    assert r.runs_failed == r.retries + len(quarantined)
+def assert_accounting(counters, n_accepted, quarantined):
+    assert counters.runs_attempted == n_accepted + counters.runs_failed
+    assert counters.runs_failed == counters.retries + len(quarantined)
+    counters.check(n_accepted, len(quarantined))
 
 
 class TestRetryAndQuarantine:
@@ -60,10 +60,11 @@ class TestRetryAndQuarantine:
         assert cell.key == ("intensity", "k")
         assert cell.attempts == 2  # 1 try + 1 retry.
         assert "injected" in cell.last_error
-        assert runner.runs_attempted == 2
-        assert runner.runs_failed == 2
-        assert runner.retries == 1
-        assert_accounting(runner, n_accepted=0, quarantined=runner.quarantined)
+        counters = runner.counters
+        assert counters.runs_attempted == 2
+        assert counters.runs_failed == 2
+        assert counters.retries == 1
+        assert_accounting(counters, n_accepted=0, quarantined=runner.quarantined)
 
     def test_quarantined_cell_is_skipped_without_attempts(self):
         runner = BenchmarkRunner(
@@ -73,11 +74,12 @@ class TestRetryAndQuarantine:
             max_retries=0,
         )
         runner.execute_replicates(kernel(), "intensity", 1)
-        attempts_before = runner.runs_attempted
+        attempts_before = runner.counters.runs_attempted
         obs = runner.execute_replicates(kernel(), "intensity", 2)
         assert obs == []
-        assert runner.runs_attempted == attempts_before  # no new attempts.
-        assert runner.runs_skipped == 2
+        # no new attempts.
+        assert runner.counters.runs_attempted == attempts_before
+        assert runner.counters.runs_skipped == 2
         assert len(runner.quarantined) == 1  # not re-quarantined.
 
     def test_other_cells_survive_a_quarantine(self):
@@ -103,19 +105,6 @@ class TestRetryAndQuarantine:
         with pytest.raises(ValueError):
             runner.execute_replicates(kernel(), "intensity", 0)
 
-    def test_retry_backoff_sleeps(self, monkeypatch):
-        naps = []
-        monkeypatch.setattr(time, "sleep", naps.append)
-        runner = BenchmarkRunner(
-            platform("gtx-titan"),
-            seed=1,
-            faults=FaultPlan(seed=1, run_failure_rate=1.0),
-            max_retries=2,
-            retry_backoff=0.1,
-        )
-        runner.execute_resilient(kernel(), "intensity")
-        assert naps == [0.1, 0.2]  # exponential, per retry.
-
     def test_injected_failure_is_named(self):
         runner = BenchmarkRunner(
             platform("gtx-titan"),
@@ -140,10 +129,10 @@ class TestFaultyCampaignCompletes:
         fits = runner.run()  # must not raise.
         report = runner.report
         assert report.ok
-        assert report.runs_failed > 0  # the plan actually fired.
-        assert report.samples_dropped > 0
+        assert report.counters.runs_failed > 0  # the plan actually fired.
+        assert report.counters.samples_dropped > 0
         assert_accounting(
-            report,
+            report.counters,
             n_accepted=report.n_runs,
             quarantined=report.quarantined_cells,
         )
@@ -171,7 +160,9 @@ class TestFaultyCampaignCompletes:
         assert len(campaign.quarantined) > 0
         assert campaign.n_runs > 0  # survivors made it through.
         assert_accounting(
-            runner, n_accepted=campaign.n_runs, quarantined=runner.quarantined
+            runner.counters,
+            n_accepted=campaign.n_runs,
+            quarantined=runner.quarantined,
         )
         fitted = fit_campaign(campaign)  # degrades gracefully.
         assert fitted.capped.params.tau_flop > 0

@@ -50,8 +50,6 @@ def _shard_stub(spec, wall):
         platform_id=spec.platform_id,
         seed=spec.settings.seed,
         n_runs=1,
-        calibration_hits=0,
-        calibration_misses=0,
         wall_seconds=wall,
     )
 
@@ -101,10 +99,10 @@ class TestRunShard:
         assert report.platform_id == "gtx-titan"
         assert report.seed == 99
         assert report.n_runs == fitted.campaign.n_runs > 0
-        assert report.calibration_misses > 0
+        assert report.counters.calibration_misses > 0
         # Replicated peak runs re-use the primed/warm cache.
-        assert report.calibration_hits > 0
-        assert 0.0 < report.calibration_hit_rate < 1.0
+        assert report.counters.calibration_hits > 0
+        assert 0.0 < report.counters.calibration_hit_rate < 1.0
         assert report.wall_seconds > 0.0
 
 
@@ -314,8 +312,8 @@ class TestCalibrationMemoisation:
         runner = BenchmarkRunner(platform("gtx-titan"), seed=0)
         k = KernelSpec(name="k", flops=1e9, traffic={DRAM: 1e8})
         runner.execute_replicates(k, "intensity", 3)
-        assert runner.calibration_misses == 1
-        assert runner.calibration_hits == 2
+        assert runner.counters.calibration_misses == 1
+        assert runner.counters.calibration_hits == 2
 
     def test_prime_matches_scalar_calibration(self):
         config = platform("gtx-titan")
@@ -330,7 +328,7 @@ class TestCalibrationMemoisation:
         for kernel in kernels:
             assert primed.calibrate(kernel) == cold.calibrate(kernel)
         # Every post-prime calibrate was a hit.
-        assert primed.calibration_hits == len(kernels)
+        assert primed.counters.calibration_hits == len(kernels)
 
     def test_prime_deduplicates_shapes(self):
         runner = BenchmarkRunner(platform("gtx-titan"), seed=0)

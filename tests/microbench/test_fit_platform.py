@@ -110,9 +110,9 @@ def compute_pin() -> dict:
             pid: {
                 "seed": shards[pid].seed,
                 "n_runs": fit.campaign.n_runs,
-                "runs_attempted": shards[pid].runs_attempted,
-                "runs_failed": shards[pid].runs_failed,
-                "retries": shards[pid].retries,
+                "runs_attempted": shards[pid].counters.runs_attempted,
+                "runs_failed": shards[pid].counters.runs_failed,
+                "retries": shards[pid].counters.retries,
                 "quarantined": len(shards[pid].quarantined),
                 "fitted_params": _hex(fit.fitted_params),
                 "uncapped_params": _hex(fit.uncapped.params),

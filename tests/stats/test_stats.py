@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_paired_ci
-from repro.stats.descriptive import boxplot_stats, pearson, quantile, spearman
+from repro.stats.descriptive import boxplot_stats, pearson, quantile
 from repro.stats.ks import kolmogorov_sf, ks_2sample, ks_statistic
 from repro.stats.regression import fit_log_params, nonnegative_lstsq
 
@@ -109,27 +109,6 @@ class TestDescriptive:
             pearson([1.0, 1.0], [1.0, 2.0])  # zero variance
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_spearman_matches_scipy(self, rng):
-        x = rng.normal(0, 1, 40)
-        y = x ** 3 + rng.normal(0, 0.1, 40)
-        assert spearman(x, y) == pytest.approx(
-            scipy.stats.spearmanr(x, y).statistic, abs=1e-12
-        )
-
-    def test_spearman_handles_ties(self):
-        x = [1.0, 1.0, 2.0, 3.0]
-        y = [5.0, 5.0, 6.0, 7.0]
-        assert spearman(x, y) == pytest.approx(
-            scipy.stats.spearmanr(x, y).statistic, abs=1e-12
-        )
-
-    def test_spearman_invariant_to_monotone_transform(self, rng):
-        x = rng.uniform(1, 10, 30)
-        y = rng.uniform(1, 10, 30)
-        assert spearman(x, y) == pytest.approx(
-            spearman(np.log(x), y ** 2), abs=1e-12
-        )
 
 
 class TestBootstrap:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -127,6 +128,22 @@ class TestShardKey:
             config,
             replace(spec(), cache_dir="/elsewhere", cache_refresh=True),
         )
+
+    def test_report_shape_changes_key(self, monkeypatch):
+        """A shard cell stores a ShardReport; a change of its shape must
+        address new cells, or old ones replay with new fields at their
+        defaults."""
+        # The package re-exports the function ``fingerprint`` under the
+        # module's own name, so fetch the module itself.
+        fingerprint_module = importlib.import_module("repro.store.fingerprint")
+        config = platform("gtx-titan")
+        base = shard_key(config, spec())
+        monkeypatch.setattr(
+            fingerprint_module,
+            "_SHARD_REPORT_SHAPE",
+            fingerprint_module._SHARD_REPORT_SHAPE + 1,
+        )
+        assert shard_key(config, spec()) != base
 
     def test_platform_config_edit_changes_key(self):
         config = platform("gtx-titan")

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.microbench.campaign import ShardReport
+from repro.microbench.runner import RunCounters
 from repro.telemetry.jsonl import (
     SCHEMA_VERSION,
     obj_to_span,
@@ -14,6 +16,7 @@ from repro.telemetry.jsonl import (
     trace_bytes,
     validate_record,
     validate_trace_file,
+    write_shard_trace,
     write_trace,
 )
 from repro.telemetry.recorder import (
@@ -89,13 +92,6 @@ class TestTraceRecorder:
             pass
         assert rec.spans[-1].parent == -1
 
-    def test_counters_accumulate(self):
-        rec = TraceRecorder(clock=ManualClock())
-        rec.add("backoff_seconds", 0.5)
-        rec.add("backoff_seconds", 0.25)
-        rec.add("hits")
-        assert rec.counters == {"backoff_seconds": 0.75, "hits": 1.0}
-
     def test_sibling_spans_share_parent(self):
         clock = ManualClock()
         rec = TraceRecorder(clock=clock)
@@ -113,9 +109,8 @@ class TestNullRecorder:
     def test_records_nothing(self):
         rec = NullRecorder()
         with rec.span("ignored", meta="x"):
-            rec.add("counter", 5.0)
+            pass
         assert rec.spans == []
-        assert rec.counters == {}
         assert rec.records() == ()
 
     def test_disabled_flag(self):
@@ -147,20 +142,14 @@ def _sample_spans():
 
 def _sample_report():
     spans = _sample_spans()
-    shard = SimpleNamespace(
+    shard = ShardReport(
         platform_id="gtx-titan",
-        status="ok",
         seed=7,
-        wall_seconds=4.1,
         n_runs=25,
-        runs_attempted=25,
-        runs_failed=0,
-        retries=0,
-        rejected=0,
-        runs_skipped=0,
-        calibration_hits=20,
-        calibration_misses=5,
-        backoff_seconds=0.0,
+        wall_seconds=4.1,
+        counters=RunCounters(
+            runs_attempted=25, calibration_hits=20, calibration_misses=5
+        ),
         trace_bytes=trace_bytes("gtx-titan", spans),
         spans=spans,
     )
@@ -200,6 +189,28 @@ class TestJsonl:
     def test_validate_trace_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         assert write_trace(path, _sample_report()) == validate_trace_file(path)
+
+    def test_shard_trace_records(self, tmp_path):
+        """A single-shard trace (serve, fleet) is the header, the shard
+        line, its wall_seconds counter, then the spans."""
+        path = tmp_path / "one.jsonl"
+        spans = _sample_spans()
+        lines = write_shard_trace(
+            path, "fleet", spans, wall_seconds=2.5, status="infeasible",
+            seed=9,
+        )
+        records = read_trace(path)
+        assert lines == len(records) == validate_trace_file(path)
+        assert records[:3] == [
+            {"type": "campaign", "schema": SCHEMA_VERSION, "workers": 1,
+             "wall_seconds": 2.5, "shards": 1},
+            {"type": "shard", "shard": "fleet", "status": "infeasible",
+             "seed": 9, "wall_seconds": 2.5},
+            {"type": "counter", "shard": "fleet", "name": "wall_seconds",
+             "value": 2.5},
+        ]
+        assert tuple(read_spans(path)["fleet"]) == spans
+        assert len(records) == 3 + len(spans)
 
     def test_trace_bytes_counts_encoded_lines(self):
         spans = _sample_spans()
